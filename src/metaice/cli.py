@@ -13,9 +13,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 from . import scalar as S
@@ -68,27 +66,6 @@ def _ints(text):
         raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
 
 
-def _workers():
-    raw = os.environ.get("METAICE_WORKERS", "")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 1
-    return max(count, 1)
-
-
-def _fan_out(units):
-    """Run case-producing callables, possibly across worker threads;
-    the merged stream keeps submission order either way."""
-    workers = _workers()
-    if workers <= 1 or len(units) <= 1:
-        chunks = [unit() for unit in units]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda unit: unit(), units))
-    return [case for chunk in chunks for case in chunk]
-
-
 def _case(suite, case, params, lhs, rhs, ok, elapsed=None):
     return {"suite": suite, "case": case, "params": params, "lhs": lhs,
             "rhs": rhs, "verdict": "pass" if ok else "fail",
@@ -106,75 +83,71 @@ def _elapsed(start):
 # -- verification suites ---------------------------------------------------
 
 def _suite_appendix(cfg):
-    def unit(nq):
-        def run():
-            start = _clock(cfg)
-            rep = RV.appendix_regression(nq)
-            took = _elapsed(start)
-            bad = {}
-            for item in rep["mismatches"]:
-                bad.setdefault(item[0], []).append(str(item[1:]))
-            return [_case("appendix", entry["case"], {"nq": nq},
-                          {"instances": entry["instances"],
-                           "states": entry["states"]},
-                          {"frozen_rows": entry["frozen_rows"],
-                           "mismatches": bad.get(entry["case"], [])},
-                          entry["case"] not in bad, took)
-                    for entry in rep["cases"]]
-        return run
-    return _fan_out([unit(nq) for nq in cfg.nq or (1, 2, 3, 4)])
+    cases = []
+    for nq in cfg.nq or (1, 2, 3, 4):
+        start = _clock(cfg)
+        rep = RV.appendix_regression(nq)
+        took = _elapsed(start)
+        bad = {}
+        for item in rep["mismatches"]:
+            bad.setdefault(item[0], []).append(str(item[1:]))
+        cases += [_case("appendix", entry["case"], {"nq": nq},
+                        {"instances": entry["instances"],
+                         "states": entry["states"]},
+                        {"frozen_rows": entry["frozen_rows"],
+                         "mismatches": bad.get(entry["case"], [])},
+                        entry["case"] not in bad, took)
+                  for entry in rep["cases"]]
+    return cases
 
 
 def _suite_rtt(cfg):
-    def unit(nq):
-        def run():
-            start = _clock(cfg)
-            rep = RV.rtt_scan(nq)
-            return [_case("rtt", "nq=%d" % nq, {"nq": nq, "rows": list(rep["rows"])},
-                          {"boundaries": rep["boundaries"],
-                           "inhabited": rep["inhabited"]},
-                          {"failures": [str(f) for f in rep["failures"]]},
-                          rep["ok"], _elapsed(start))]
-        return run
-    return _fan_out([unit(nq) for nq in cfg.nq or (1, 2, 3)])
+    cases = []
+    for nq in cfg.nq or (1, 2, 3):
+        start = _clock(cfg)
+        rep = RV.rtt_scan(nq)
+        cases.append(_case("rtt", "nq=%d" % nq,
+                           {"nq": nq, "rows": list(rep["rows"])},
+                           {"boundaries": rep["boundaries"],
+                            "inhabited": rep["inhabited"]},
+                           {"failures": [str(f) for f in rep["failures"]]},
+                           rep["ok"], _elapsed(start)))
+    return cases
 
 
 def _scan_suite(name, scan, cfg):
-    def unit(nq):
-        def run():
-            start = _clock(cfg)
-            if nq == 1:
-                rep = scan(1)
-            else:
-                rep = scan(nq, cfg.trials or 20, cfg.seed or DEFAULT_SEED,
-                           cfg.prime or S.DEFAULT_PRIME)
-            took = _elapsed(start)
-            lhs = {"mode": rep["mode"], "boundaries": rep["boundaries"],
-                   "failures": [str(f) for f in rep["failures"]]}
-            rhs = {"failures": []}
-            ok = rep["ok"]
-            if rep["mode"] == "modular":
-                lhs["points"] = rep["points"]
-                lhs["sz_log2_bound"] = rep["sz_log2_bound"]
-                rhs["sz_log2_bound_max"] = SZ_LOG2_MAX
-                ok = ok and rep["sz_log2_bound"] < SZ_LOG2_MAX
-            return [_case(name, "nq=%d" % nq, {"nq": nq}, lhs, rhs, ok, took)]
-        return run
-    return _fan_out([unit(nq) for nq in cfg.nq or (1, 2, 3)])
+    trials = 20 if cfg.trials is None else cfg.trials
+    seed = DEFAULT_SEED if cfg.seed is None else cfg.seed
+    prime = S.DEFAULT_PRIME if cfg.prime is None else cfg.prime
+    cases = []
+    for nq in cfg.nq or (1, 2, 3):
+        start = _clock(cfg)
+        rep = scan(1) if nq == 1 else scan(nq, trials, seed, prime)
+        took = _elapsed(start)
+        lhs = {"mode": rep["mode"], "boundaries": rep["boundaries"],
+               "failures": [str(f) for f in rep["failures"]]}
+        rhs = {"failures": []}
+        ok = rep["ok"]
+        if rep["mode"] == "modular":
+            lhs["points"] = rep["points"]
+            lhs["sz_log2_bound"] = rep["sz_log2_bound"]
+            rhs["sz_log2_bound_max"] = SZ_LOG2_MAX
+            ok = ok and rep["sz_log2_bound"] < SZ_LOG2_MAX
+        cases.append(_case(name, "nq=%d" % nq, {"nq": nq}, lhs, rhs, ok, took))
+    return cases
 
 
 def _suite_twist(cfg):
-    def unit(nq):
-        def run():
-            start = _clock(cfg)
-            rep = QG.compare_to_ice_r(nq)
-            return [_case("twist", "nq=%d" % nq,
-                          {"nq": nq, "rows": list(rep["rows"])},
-                          {"entries": rep["entries"],
-                           "mismatches": [str(m) for m in rep["mismatches"]]},
-                          {"mismatches": []}, rep["ok"], _elapsed(start))]
-        return run
-    return _fan_out([unit(nq) for nq in cfg.nq or (1, 2, 3)])
+    cases = []
+    for nq in cfg.nq or (1, 2, 3):
+        start = _clock(cfg)
+        rep = QG.compare_to_ice_r(nq)
+        cases.append(_case("twist", "nq=%d" % nq,
+                           {"nq": nq, "rows": list(rep["rows"])},
+                           {"entries": rep["entries"],
+                            "mismatches": [str(m) for m in rep["mismatches"]]},
+                           {"mismatches": []}, rep["ok"], _elapsed(start)))
+    return cases
 
 
 def _cover_list(cfg, max_n):
@@ -187,38 +160,36 @@ def _cover_list(cfg, max_n):
 
 
 def _suite_prop71(cfg):
-    def unit(params):
-        def run():
-            start = _clock(cfg)
-            fails = []
-            pairs = 0
-            for ci, cj in product(range(1, params.n + 1), repeat=2):
-                pairs += 1
-                if not MP.prop71_check(ci, cj, params)["ok"]:
-                    fails.append([ci, cj])
-            return [_case("prop71", "n=%d,b=%d,c=%d" % (params.n, params.b, params.c),
-                          params.to_json(), {"pairs": pairs, "failures": fails},
-                          {"failures": []}, not fails, _elapsed(start))]
-        return run
-    return _fan_out([unit(p) for p in _cover_list(cfg, 4)])
+    cases = []
+    for params in _cover_list(cfg, 4):
+        start = _clock(cfg)
+        fails = []
+        pairs = 0
+        for ci, cj in product(range(1, params.n + 1), repeat=2):
+            pairs += 1
+            if not MP.prop71_check(ci, cj, params)["ok"]:
+                fails.append([ci, cj])
+        cases.append(_case("prop71", "n=%d,b=%d,c=%d" % (params.n, params.b, params.c),
+                           params.to_json(), {"pairs": pairs, "failures": fails},
+                           {"failures": []}, not fails, _elapsed(start)))
+    return cases
 
 
 def _suite_thm12(cfg):
-    def unit(params):
-        def run():
-            start = _clock(cfg)
-            fails = []
-            count = 0
-            for i in range(1, params.r):
-                for residues in product(range(1, params.n + 1), repeat=params.r):
-                    count += 1
-                    if not MP.theorem12_diagram(params, residues, i)["ok"]:
-                        fails.append([i, list(residues)])
-            return [_case("thm12", "n=%d,b=%d,c=%d" % (params.n, params.b, params.c),
-                          params.to_json(), {"diagrams": count, "failures": fails},
-                          {"failures": []}, not fails, _elapsed(start))]
-        return run
-    return _fan_out([unit(p) for p in _cover_list(cfg, 4)])
+    cases = []
+    for params in _cover_list(cfg, 4):
+        start = _clock(cfg)
+        fails = []
+        count = 0
+        for i in range(1, params.r):
+            for residues in product(range(1, params.n + 1), repeat=params.r):
+                count += 1
+                if not MP.theorem12_diagram(params, residues, i)["ok"]:
+                    fails.append([i, list(residues)])
+        cases.append(_case("thm12", "n=%d,b=%d,c=%d" % (params.n, params.b, params.c),
+                           params.to_json(), {"diagrams": count, "failures": fails},
+                           {"failures": []}, not fails, _elapsed(start)))
+    return cases
 
 
 def _suite_thm82(cfg):
@@ -242,28 +213,24 @@ def _suite_thm82(cfg):
 
 def _suite_train(cfg):
     lams = [cfg.lam] if cfg.lam else [(1, 0), (2, 0), (2, 2, 0)]
-
-    def unit(lam, nq):
-        def run():
-            start = _clock(cfg)
-            system = L.boundary_from_partition(lam, nq=nq)
-            r = len(lam)
-            fails = []
-            classes = 0
-            for i in range(1, r):
-                for charges in product(range(1, nq + 1), repeat=r):
-                    classes += 1
-                    res = RV.train_functional_equation(lam, charges, i, system)
-                    if not res["equal"]:
-                        fails.append([i, list(charges)])
-            return [_case("train", "lambda=%s,nq=%d" % (list(lam), nq),
-                          {"lambda": list(lam), "nq": nq},
-                          {"classes": classes, "failures": fails},
-                          {"failures": []}, not fails, _elapsed(start))]
-        return run
-
-    return _fan_out([unit(lam, nq) for lam in lams
-                     for nq in cfg.nq or (1, 2, 3)])
+    cases = []
+    for lam, nq in product(lams, cfg.nq or (1, 2, 3)):
+        start = _clock(cfg)
+        system = L.boundary_from_partition(lam, nq=nq)
+        r = len(lam)
+        fails = []
+        classes = 0
+        for i in range(1, r):
+            for charges in product(range(1, nq + 1), repeat=r):
+                classes += 1
+                res = RV.train_functional_equation(lam, charges, i, system)
+                if not res["equal"]:
+                    fails.append([i, list(charges)])
+        cases.append(_case("train", "lambda=%s,nq=%d" % (list(lam), nq),
+                           {"lambda": list(lam), "nq": nq},
+                           {"classes": classes, "failures": fails},
+                           {"failures": []}, not fails, _elapsed(start)))
+    return cases
 
 
 # -- data commands -----------------------------------------------------------
@@ -431,6 +398,11 @@ def _config_from_args(parser, args):
         parser.error("--mode modular requires --prime and --seed")
     if cfg.mode == "symbolic" and (cfg.prime is not None or cfg.seed is not None):
         parser.error("--prime/--seed only apply to --mode modular")
+    if cfg.prime is not None and not (cfg.prime < S.PRIME_TEST_BOUND
+                                      and S.is_prime(cfg.prime)):
+        parser.error("--prime must be a prime below %d" % S.PRIME_TEST_BOUND)
+    if cfg.trials is not None and cfg.trials < 1:
+        parser.error("--trials must be at least 1")
     if cfg.subcommand in ("rrr", "unitarity") and cfg.mode == "symbolic":
         if any(q > 1 for q in cfg.nq or (1, 2, 3)):
             parser.error("symbolic scans support nq = 1 only; use --mode modular")
@@ -465,7 +437,9 @@ def main(argv=None):
         runner = _whittaker
     try:
         cases = runner(cfg)
-    except (AssertionError, ValueError) as exc:
+    except (AssertionError, ValueError, ZeroDivisionError) as exc:
+        # ZeroDivisionError: a modular denominator vanished at a sample
+        # point; its message names the trial
         cases = [_case(cfg.subcommand, "error", {}, {"error": str(exc)},
                        None, False, None)]
     print(render(cases, cfg.fmt), end="")

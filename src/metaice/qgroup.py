@@ -13,64 +13,19 @@ reproduces the ice crossing table at z = (z_i/z_j)^nq entry by entry.
 """
 
 from fractions import Fraction
-import random
 
 from . import scalar as S
 from . import rvertex as RV
+# the pair-basis matrix algebra lives in rvertex; these names stay public here
+from .rvertex import (embed12, embed13, embed23, graded_swap, ice_r_matrix,
+                      labels, mat_eq, mat_identity, mat_mul, pair_basis,
+                      parity)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
-def labels(nq):
-    return range(nq + 1)
-
-
-def parity(a):
-    """1 for the - spin (label 0), 0 for the + spins."""
-    return 1 if a == 0 else 0
-
-
-def pair_basis(nq):
-    return [(a, b) for a in labels(nq) for b in labels(nq)]
-
-
 # -- matrix helpers ----------------------------------------------------------
-
-def mat_mul(first, second):
-    """Composition: apply `second`, then `first`."""
-    by_row = {}
-    for (r, m), val in first.items():
-        by_row.setdefault(m, []).append((r, val))
-    out = {}
-    for (m, c), val in second.items():
-        for r, left in by_row.get(m, ()):
-            prod = left * val
-            if (r, c) in out:
-                out[(r, c)] = out[(r, c)] + prod
-            else:
-                out[(r, c)] = prod
-    return {k: w for k, w in out.items() if not w.is_zero()}
-
-
-def mat_eq(a, b):
-    for key in set(a) | set(b):
-        x = a.get(key)
-        y = b.get(key)
-        if x is None:
-            if not y.is_zero():
-                return False
-        elif y is None:
-            if not x.is_zero():
-                return False
-        elif not S.frac_eq(x, y):
-            return False
-    return True
-
-
-def mat_identity(keys, nq):
-    return {(k, k): S.Frac(S.one(nq)) for k in keys}
-
 
 def matrix_to_json(mat):
     """Sparse triplet dump [row, col, entry] in sorted key order."""
@@ -200,25 +155,6 @@ def signature_adjust(r_mat, nq=None):
 
 # -- comparison with the ice table --------------------------------------------
 
-def _label_spin(a):
-    return RV.MINUS if a == 0 else (1, a)
-
-
-def ice_r_matrix(nq, rows=(1, 2)):
-    """The ice crossing table as a matrix on the pair basis: the entry
-    at ((alpha, beta), (gamma, delta)) is the crossing weight with
-    NW = alpha, SW = beta, NE = delta, SE = gamma."""
-    mat = {}
-    for alpha, beta in pair_basis(nq):
-        for gamma, delta in pair_basis(nq):
-            w = RV.r_weight(_label_spin(alpha), _label_spin(beta),
-                            _label_spin(delta), _label_spin(gamma),
-                            rows, nq)
-            if not w.is_zero():
-                mat[((alpha, beta), (gamma, delta))] = w
-    return mat
-
-
 def compare_to_ice_r(nq, rows=(1, 2)):
     """Twist, sign-adjust, substitute z = (z_i/z_j)^nq, and compare
     entrywise with the ice crossing table."""
@@ -229,55 +165,14 @@ def compare_to_ice_r(nq, rows=(1, 2)):
         entry.assert_integral()
     adjusted = signature_adjust(twisted, nq)
     ice = ice_r_matrix(nq, rows)
-    mismatches = []
-    for key in sorted(set(adjusted) | set(ice)):
-        a = adjusted.get(key, S.Frac(S.zero(nq)))
-        b = ice.get(key, S.Frac(S.zero(nq)))
-        if not S.frac_eq(a, b):
-            mismatches.append((key, a, b))
+    zero = S.Frac(S.zero(nq))
+    mismatches = [(key, adjusted.get(key, zero), ice.get(key, zero))
+                  for key in sorted(RV.mat_diff(adjusted, ice))]
     return {"nq": nq, "rows": rows, "entries": len(ice),
             "mismatches": mismatches, "ok": not mismatches}
 
 
 # -- graded Yang-Baxter equations ----------------------------------------------
-
-def embed12(mat, nq):
-    out = {}
-    for ((a, b), (c, d)), val in mat.items():
-        for m in labels(nq):
-            out[((a, b, m), (c, d, m))] = val
-    return out
-
-
-def embed23(mat, nq):
-    out = {}
-    for ((a, b), (c, d)), val in mat.items():
-        for m in labels(nq):
-            out[((m, a, b), (m, c, d))] = val
-    return out
-
-
-def embed13(mat, nq, graded):
-    """Outer-leg embedding; moving the second operator leg past the
-    middle tensor slot inserts a Koszul sign when graded."""
-    out = {}
-    for ((a, b), (c, d)), val in mat.items():
-        for m in labels(nq):
-            if graded and parity(m) and (parity(b) + parity(d)) % 2:
-                out[((a, m, b), (c, m, d))] = -val
-            else:
-                out[((a, m, b), (c, m, d))] = val
-    return out
-
-
-def graded_swap(nq):
-    """tau(v_a (x) v_b) = (-1)^{[a][b]} v_b (x) v_a as a matrix."""
-    out = {}
-    for a, b in pair_basis(nq):
-        val = S.Frac(S.integer(-1 if parity(a) and parity(b) else 1, nq))
-        out[((b, a), (a, b))] = val
-    return out
-
 
 def _ratio(i, j, nq):
     return S.z_pow(i, 1, nq) * S.z_pow(j, -1, nq)
@@ -288,44 +183,23 @@ def check_graded_ybe(nq, rows=(1, 2, 3), matrix_fn=None, graded=True,
     """Braid and inversion identities for a crossing matrix in a formal
     parameter.
 
-    matrix_fn(z) defaults to kojima_r(z, nq).  The braid identity is
-    checked on the tensor cube with the leg embeddings above (Koszul
-    signs when graded); inversion conjugates by the (graded) swap.
-    Symbolic for nq = 1, at `trials` random modular points otherwise."""
-    i, j, k = rows
+    matrix_fn(z) defaults to kojima_r(z, nq); the crossing at rows (a, b)
+    is matrix_fn(z_a/z_b).  The braid identity is checked on the tensor
+    cube with Koszul signs in the outer-leg embedding when graded;
+    inversion conjugates by the (graded) swap.  Symbolic for nq = 1, at
+    `trials` random modular points otherwise."""
     if matrix_fn is None:
         matrix_fn = lambda z: kojima_r(z, nq)
-    r_ij = matrix_fn(_ratio(i, j, nq))
-    r_ik = matrix_fn(_ratio(i, k, nq))
-    r_jk = matrix_fn(_ratio(j, k, nq))
-    lhs = mat_mul(embed12(r_ij, nq),
-                  mat_mul(embed13(r_ik, nq, graded), embed23(r_jk, nq)))
-    rhs = mat_mul(embed23(r_jk, nq),
-                  mat_mul(embed13(r_ik, nq, graded), embed12(r_ij, nq)))
-    tau = graded_swap(nq) if graded else {
-        ((b, a), (a, b)): S.Frac(S.one(nq)) for a, b in pair_basis(nq)}
-    r_bwd = mat_mul(tau, mat_mul(matrix_fn(_ratio(j, i, nq)), tau))
-    inv_prod = mat_mul(r_ij, r_bwd)
-    ident = mat_identity(pair_basis(nq), nq)
+    results = RV.check_crossings(lambda a, b: matrix_fn(_ratio(a, b, nq)),
+                                 rows, nq, graded, trials, seed, p)
     if nq == 1:
-        ybe_ok = mat_eq(lhs, rhs)
-        uni_ok = mat_eq(inv_prod, ident)
+        (_, braid, inverse), = results
         return {"nq": nq, "rows": rows, "graded": graded,
-                "mode": "symbolic", "ybe_ok": ybe_ok,
-                "unitarity_ok": uni_ok, "ok": ybe_ok and uni_ok}
-    rng = random.Random(seed)
-    failures = []
-    for t in range(trials):
-        asg = S.make_assignment(nq, rows, rng.randrange(1 << 62), p)
-        for tag, a_mat, b_mat in (("ybe", lhs, rhs),
-                                  ("unitarity", inv_prod, ident)):
-            for key in set(a_mat) | set(b_mat):
-                x = a_mat.get(key)
-                y = b_mat.get(key)
-                xv = 0 if x is None else S.eval_frac_mod(x, asg)
-                yv = 0 if y is None else S.eval_frac_mod(y, asg)
-                if xv != yv:
-                    failures.append((t, tag, key))
+                "mode": "symbolic", "ybe_ok": not braid,
+                "unitarity_ok": not inverse, "ok": not (braid or inverse)}
+    failures = [(t, tag, key) for t, braid, inverse in results
+                for tag, keys in (("ybe", braid), ("unitarity", inverse))
+                for key in keys]
     return {"nq": nq, "rows": rows, "graded": graded, "mode": "modular",
             "points": trials, "failures": failures,
             "ybe_ok": not any(f[1] == "ybe" for f in failures),

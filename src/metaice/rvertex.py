@@ -8,7 +8,9 @@ checks the two-row exchange identity (check_rtt) against a frozen table
 of all 32 boundary spin patterns, the three-crossing braid identity
 (check_rrr), inversion (check_unitarity), and the functional equation
 that swapping two spectral variables induces on charged partition
-functions (train_functional_equation).
+functions (train_functional_equation).  Braid and inversion, for the ice
+table here and for the quantum-group matrices of qgroup, are entries of
+sparse products on the pair basis, all formed by check_crossings.
 """
 
 from itertools import product
@@ -196,45 +198,204 @@ def rtt_scan(nq, rows=(1, 2)):
             "ok": not failures}
 
 
-# -- three-crossing braid identity and inversion ---------------------------
+# -- pair-basis matrices ------------------------------------------------------
+#
+# Basis labels 0 < 1 < ... < nq: label 0 is the - spin (odd parity) and a
+# label a >= 1 the + spin with charge a (even parity), so decorated_values
+# lists the spins in label order.  A matrix on a tensor power is a sparse
+# dict keyed (output labels, input labels); its entries are Fracs, or ints
+# mod p once evaluated at a modular point.
+
+def labels(nq):
+    return range(nq + 1)
+
+
+def parity(a):
+    """1 for the - spin (label 0), 0 for the + spins."""
+    return 1 if a == 0 else 0
+
+
+def pair_basis(nq):
+    return [(a, b) for a in labels(nq) for b in labels(nq)]
+
+
+def mat_mul(first, second, p=None):
+    """Composition: apply `second`, then `first`.  Exact Frac arithmetic
+    when p is None, ints mod the prime p otherwise."""
+    by_row = {}
+    for (r, m), val in first.items():
+        by_row.setdefault(m, []).append((r, val))
+    out = {}
+    for (m, c), val in second.items():
+        for r, left in by_row.get(m, ()):
+            prod = left * val
+            if (r, c) in out:
+                out[(r, c)] = out[(r, c)] + prod
+            else:
+                out[(r, c)] = prod
+    if p is None:
+        return {k: w for k, w in out.items() if not w.is_zero()}
+    return {k: rem for k, w in out.items() if (rem := w % p)}
+
+
+def mat_diff(a, b, p=None):
+    """Keys at which two matrices differ, in the iteration order of
+    set(a) | set(b); entries are Fracs when p is None, residues mod p
+    otherwise."""
+    same = S.frac_eq if p is None else int.__eq__
+    return [key for key in set(a) | set(b)
+            if not same(a.get(key, 0), b.get(key, 0))]
+
+
+def mat_eq(a, b):
+    return not mat_diff(a, b)
+
+
+def mat_identity(keys, nq):
+    return {(k, k): S.Frac(S.one(nq)) for k in keys}
+
+
+def embed12(mat, nq):
+    out = {}
+    for ((a, b), (c, d)), val in mat.items():
+        for m in labels(nq):
+            out[((a, b, m), (c, d, m))] = val
+    return out
+
+
+def embed23(mat, nq):
+    out = {}
+    for ((a, b), (c, d)), val in mat.items():
+        for m in labels(nq):
+            out[((m, a, b), (m, c, d))] = val
+    return out
+
+
+def embed13(mat, nq, graded):
+    """Outer-leg embedding; moving the second operator leg past the
+    middle tensor slot inserts a Koszul sign when graded."""
+    out = {}
+    for ((a, b), (c, d)), val in mat.items():
+        for m in labels(nq):
+            if graded and parity(m) and (parity(b) + parity(d)) % 2:
+                out[((a, m, b), (c, m, d))] = -val
+            else:
+                out[((a, m, b), (c, m, d))] = val
+    return out
+
+
+def graded_swap(nq):
+    """tau(v_a (x) v_b) = (-1)^{[a][b]} v_b (x) v_a as a matrix."""
+    out = {}
+    for a, b in pair_basis(nq):
+        val = S.Frac(S.integer(-1 if parity(a) and parity(b) else 1, nq))
+        out[((b, a), (a, b))] = val
+    return out
+
+
+def _swap(nq, graded):
+    tau = graded_swap(nq)
+    return tau if graded else {key: S.Frac(S.one(nq)) for key in tau}
+
+
+def ice_r_matrix(nq, rows=(1, 2)):
+    """The ice crossing table as a matrix on the pair basis: the entry
+    at ((alpha, beta), (gamma, delta)) is the crossing weight with
+    NW = alpha, SW = beta, NE = delta, SE = gamma."""
+    dv = decorated_values(nq)
+    mat = {}
+    for alpha, beta in pair_basis(nq):
+        for gamma, delta in pair_basis(nq):
+            w = r_weight(dv[alpha], dv[beta], dv[delta], dv[gamma], rows, nq)
+            if not w.is_zero():
+                mat[((alpha, beta), (gamma, delta))] = w
+    return mat
+
+
+# -- braid identity and inversion ---------------------------------------------
+
+def braid_sides(t12, t13, t23, nq, graded=False, p=None):
+    """R12 R13 R23 and R23 R13 R12 on the tensor cube, from the crossing
+    matrices on the three leg pairs."""
+    e12, e13, e23 = embed12(t12, nq), embed13(t13, nq, graded), embed23(t23, nq)
+    return (mat_mul(e12, mat_mul(e13, e23, p), p),
+            mat_mul(e23, mat_mul(e13, e12, p), p))
+
+
+def inversion_product(t12, t21, tau, p=None):
+    """R12 tau R21 tau: the identity when the crossing inverts."""
+    return mat_mul(t12, mat_mul(tau, mat_mul(t21, tau, p), p), p)
+
+
+def check_crossings(table, rows, nq, graded=False, trials=20, seed=20260815,
+                    p=S.DEFAULT_PRIME):
+    """Braid and inversion identities for crossing matrices.
+
+    table(a, b) is the pair-basis matrix of the crossing at strand rows
+    (a, b).  For rows = (i, j, k), with legs 1, 2, 3 on rows i, j, k,
+    R12 R13 R23 is compared with R23 R13 R12; for rows (i, j) or
+    (i, j, k), R12 tau R21 tau is compared with the identity, tau the
+    (graded) swap.  Exact when nq = 1 or p is None; otherwise at
+    `trials` modular points drawn from `seed`, each table entry evaluated
+    once per point.  Returns one (trial, braid keys, inversion keys) per
+    point, the keys naming the entries where the two sides differ."""
+    i, j = rows[:2]
+    pairs = [(i, j)] + ([(i, rows[2]), (j, rows[2])] if len(rows) == 3 else [])
+    mats = {pair: table(*pair) for pair in pairs + [(j, i)]}
+    mats["tau"] = _swap(nq, graded)
+    mats["one"] = mat_identity(pair_basis(nq), nq)
+    if p is None or nq == 1:
+        p, points = None, [None]
+    else:
+        rng = random.Random(seed)
+        points = [S.make_assignment(nq, rows, rng.randrange(1 << 62), p)
+                  for _ in range(trials)]
+    results = []
+    for t, asg in enumerate(points):
+        at = mats
+        if asg is not None:
+            try:
+                at = {name: {key: S.eval_frac_mod(w, asg)
+                             for key, w in mat.items()}
+                      for name, mat in mats.items()}
+            except ZeroDivisionError as exc:
+                raise ZeroDivisionError("nq=%d, trial %d of seed %d: %s"
+                                        % (nq, t, seed, exc)) from None
+        braid = []
+        if len(pairs) == 3:
+            sides = braid_sides(*(at[pair] for pair in pairs), nq, graded, p)
+            braid = mat_diff(*sides, p)
+        inverse = mat_diff(inversion_product(at[(i, j)], at[(j, i)],
+                                             at["tau"], p), at["one"], p)
+        results.append((t, braid, inverse))
+    return results
+
+
+def _ice_table(nq):
+    return lambda a, b: ice_r_matrix(nq, (a, b))
+
+
+def _labels_of(boundary, nq):
+    """Basis labels of decorated spins; None for a malformed one."""
+    index = {spin: a for a, spin in enumerate(decorated_values(nq))}
+    return [index.get(spin) for spin in boundary]
+
 
 def check_rrr(boundary, rows, nq):
     """Braid identity for three strands at rows (i, j, k).
 
     boundary = (alpha, beta, gamma, phi, eps, dlt): left legs bottom to
     top, then right legs bottom to top.  Both orders of resolving the
-    three crossings must give the same sum."""
-    alpha, beta, gamma, phi, eps, dlt = boundary
+    three crossings must give the same sum: entry ((gamma, beta, alpha),
+    (phi, eps, dlt)) of R23 R13 R12 and of R12 R13 R23."""
     i, j, k = rows
-    dv = decorated_values(nq)
-    lhs = S.Frac(S.zero(nq), S.one(nq))
-    for x in dv:
-        for y in dv:
-            w1 = r_weight(beta, alpha, x, y, (j, k), nq)
-            if w1.is_zero():
-                continue
-            for w in dv:
-                w2 = r_weight(gamma, x, dlt, w, (i, k), nq)
-                if w2.is_zero():
-                    continue
-                w3 = r_weight(w, y, eps, phi, (i, j), nq)
-                if w3.is_zero():
-                    continue
-                lhs = lhs + w1 * w2 * w3
-    rhs = S.Frac(S.zero(nq), S.one(nq))
-    for x2 in dv:
-        for y2 in dv:
-            u1 = r_weight(gamma, beta, y2, x2, (i, j), nq)
-            if u1.is_zero():
-                continue
-            for w2 in dv:
-                u2 = r_weight(x2, alpha, w2, phi, (i, k), nq)
-                if u2.is_zero():
-                    continue
-                u3 = r_weight(y2, w2, dlt, eps, (j, k), nq)
-                if u3.is_zero():
-                    continue
-                rhs = rhs + u1 * u2 * u3
+    forward, backward = braid_sides(ice_r_matrix(nq, (i, j)),
+                                    ice_r_matrix(nq, (i, k)),
+                                    ice_r_matrix(nq, (j, k)), nq)
+    alpha, beta, gamma, phi, eps, dlt = _labels_of(boundary, nq)
+    key = ((gamma, beta, alpha), (phi, eps, dlt))
+    zero = S.Frac(S.zero(nq))
+    lhs, rhs = backward.get(key, zero), forward.get(key, zero)
     return {"boundary": boundary, "rows": rows, "nq": nq,
             "lhs_sum": lhs, "rhs_sum": rhs,
             "equal": S.frac_eq(lhs, rhs)}
@@ -242,39 +403,18 @@ def check_rrr(boundary, rows, nq):
 
 def check_unitarity(alpha, beta, gamma, dlt, rows, nq):
     """A crossing followed by its reverse acts as the identity:
-    sum_{x,y} W_ij(beta, alpha -> x, y) W_ji(x, y -> dlt, gamma)
-    equals [alpha = gamma][beta = dlt]."""
+    sum_{x,y} W_ij(beta, alpha -> x, y) W_ji(x, y -> dlt, gamma), the
+    entry ((beta, alpha), (dlt, gamma)) of R12 tau R21 tau, equals
+    [alpha = gamma][beta = dlt]."""
     i, j = rows
-    dv = decorated_values(nq)
-    total = S.Frac(S.zero(nq), S.one(nq))
-    for x in dv:
-        for y in dv:
-            w1 = r_weight(beta, alpha, x, y, (i, j), nq)
-            if w1.is_zero():
-                continue
-            w2 = r_weight(x, y, dlt, gamma, (j, i), nq)
-            if w2.is_zero():
-                continue
-            total = total + w1 * w2
+    prod = inversion_product(ice_r_matrix(nq, (i, j)),
+                             ice_r_matrix(nq, (j, i)), _swap(nq, False))
+    a, b, c, d = _labels_of((alpha, beta, gamma, dlt), nq)
+    total = prod.get(((b, a), (d, c)), S.Frac(S.zero(nq)))
     expected = 1 if (alpha == gamma and beta == dlt) else 0
     return {"boundary": (alpha, beta, gamma, dlt), "rows": rows, "nq": nq,
             "lhs_sum": total, "rhs_sum": S.Frac(S.integer(expected, nq)),
             "equal": S.frac_eq(total, expected)}
-
-
-# -- modular scans over all boundaries --------------------------------------
-
-def _mod_r_index(rows, nq, asg):
-    """Nonzero crossing weights mod p, indexed by the west pair."""
-    dv = decorated_values(nq)
-    index = {}
-    for nw, sw, ne, se in product(dv, dv, dv, dv):
-        w = r_weight(nw, sw, ne, se, rows, nq)
-        if w.is_zero():
-            continue
-        index.setdefault((nw, sw), []).append(
-            (ne, se, S.eval_frac_mod(w, asg)))
-    return index
 
 
 def _sz_log2_bound(nq, trials, factors, p=S.DEFAULT_PRIME):
@@ -294,98 +434,46 @@ def _sz_log2_bound(nq, trials, factors, p=S.DEFAULT_PRIME):
     return trials * math.log2(per_point) if per_point > 0 else float("-inf")
 
 
+def _ice_scan(rows, nq, trials, seed, p):
+    """Shared body of rrr_scan (three rows) and unitarity_scan (two).
+
+    A failing braid entry ((gamma, beta, alpha), (phi, eps, dlt)) is the
+    boundary (alpha, beta, gamma, phi, eps, dlt); a failing inversion
+    entry ((beta, alpha), (dlt, gamma)) is (alpha, beta, gamma, dlt).
+    Sorted label tuples list boundaries in product(dv, ...) order."""
+    braid = len(rows) == 3
+    dv = decorated_values(nq)
+    results = check_crossings(_ice_table(nq), rows, nq, trials=trials,
+                              seed=seed, p=p)
+    failures = []
+    for t, braid_keys, inverse_keys in results:
+        found = sorted(row[::-1] + (col if braid else col[::-1])
+                       for row, col in (braid_keys if braid else inverse_keys))
+        for bnd in found:
+            bnd = tuple(dv[a] for a in bnd)
+            failures.append(bnd if nq == 1 else (t, bnd))
+    count = len(results) * (nq + 1) ** (6 if braid else 4)
+    if nq == 1:
+        return {"nq": nq, "mode": "symbolic", "boundaries": count,
+                "failures": failures, "ok": not failures}
+    return {"nq": nq, "mode": "modular", "points": trials,
+            "boundaries": count, "failures": failures, "ok": not failures,
+            "sz_log2_bound": _sz_log2_bound(nq, trials, 3 if braid else 2, p)}
+
+
 def rrr_scan(nq, trials=20, seed=20260815, p=S.DEFAULT_PRIME):
     """Braid identity over every boundary 6-tuple.
 
     Exact symbolic sums for nq = 1; for larger nq the identity is tested
     at `trials` random modular points and the report carries the
     Schwartz-Zippel failure bound."""
-    dv = decorated_values(nq)
-    rows = (1, 2, 3)
-    if nq == 1:
-        failures = []
-        count = 0
-        for bnd in product(dv, repeat=6):
-            count += 1
-            res = check_rrr(bnd, rows, nq)
-            if not res["equal"]:
-                failures.append(bnd)
-        return {"nq": nq, "mode": "symbolic", "boundaries": count,
-                "failures": failures, "ok": not failures}
-    i, j, k = rows
-    rng = random.Random(seed)
-    failures = []
-    count = 0
-    for t in range(trials):
-        asg = S.make_assignment(nq, (i, j, k), rng.randrange(1 << 62), p)
-        t_jk = _mod_r_index((j, k), nq, asg)
-        t_ik = _mod_r_index((i, k), nq, asg)
-        t_ij = _mod_r_index((i, j), nq, asg)
-        by_nwsw_ik = t_ik
-        for bnd in product(dv, repeat=6):
-            alpha, beta, gamma, phi, eps, dlt = bnd
-            count += 1
-            lhs = 0
-            for x, y, w1 in t_jk.get((beta, alpha), ()):
-                for d2, w, w2 in by_nwsw_ik.get((gamma, x), ()):
-                    if d2 != dlt:
-                        continue
-                    for e2, f2, w3 in t_ij.get((w, y), ()):
-                        if e2 == eps and f2 == phi:
-                            lhs = (lhs + w1 * w2 * w3) % p
-            rhs = 0
-            for y2, x2, u1 in t_ij.get((gamma, beta), ()):
-                for w2v, f2, u2 in by_nwsw_ik.get((x2, alpha), ()):
-                    if f2 != phi:
-                        continue
-                    for d2, e2, u3 in t_jk.get((y2, w2v), ()):
-                        if d2 == dlt and e2 == eps:
-                            rhs = (rhs + u1 * u2 * u3) % p
-            if lhs != rhs:
-                failures.append((t, bnd))
-    return {"nq": nq, "mode": "modular", "points": trials,
-            "boundaries": count, "failures": failures, "ok": not failures,
-            "sz_log2_bound": _sz_log2_bound(nq, trials, 3, p)}
+    return _ice_scan((1, 2, 3), nq, trials, seed, p)
 
 
 def unitarity_scan(nq, trials=20, seed=20260815, p=S.DEFAULT_PRIME):
     """Inversion over every boundary 4-tuple; symbolic for nq = 1,
     modular otherwise."""
-    dv = decorated_values(nq)
-    if nq == 1:
-        failures = []
-        count = 0
-        for alpha, beta, gamma, dlt in product(dv, repeat=4):
-            count += 1
-            res = check_unitarity(alpha, beta, gamma, dlt, (1, 2), nq)
-            if not res["equal"]:
-                failures.append((alpha, beta, gamma, dlt))
-        return {"nq": nq, "mode": "symbolic", "boundaries": count,
-                "failures": failures, "ok": not failures}
-    rng = random.Random(seed)
-    failures = []
-    count = 0
-    for t in range(trials):
-        asg = S.make_assignment(nq, (1, 2), rng.randrange(1 << 62), p)
-        fwd = _mod_r_index((1, 2), nq, asg)
-        bwd = {}
-        for nw, sw, ne, se in product(dv, dv, dv, dv):
-            w = r_weight(nw, sw, ne, se, (2, 1), nq)
-            if not w.is_zero():
-                bwd[(nw, sw, ne, se)] = S.eval_frac_mod(w, asg)
-        for alpha, beta, gamma, dlt in product(dv, repeat=4):
-            count += 1
-            total = 0
-            for x, y, w1 in fwd.get((beta, alpha), ()):
-                w2 = bwd.get((x, y, dlt, gamma))
-                if w2 is not None:
-                    total = (total + w1 * w2) % p
-            want = 1 if (alpha == gamma and beta == dlt) else 0
-            if total != want:
-                failures.append((t, (alpha, beta, gamma, dlt)))
-    return {"nq": nq, "mode": "modular", "points": trials,
-            "boundaries": count, "failures": failures, "ok": not failures,
-            "sz_log2_bound": _sz_log2_bound(nq, trials, 2, p)}
+    return _ice_scan((1, 2), nq, trials, seed, p)
 
 
 # -- scattering on the all-plus sector --------------------------------------
@@ -410,21 +498,12 @@ def scattering_matrix(i, nq):
 
 
 def check_scattering_involution(i, nq):
-    """M(i; s_i z) M(i; z) is the identity on the all-plus sector."""
-    mat = scattering_matrix(i, nq)
-    swap = {i: i + 1, i + 1: i}
-    failures = []
-    keys = sorted(mat)
-    for ab in keys:
-        for cd in keys:
-            total = S.Frac(S.zero(nq), S.one(nq))
-            for ef, w1 in mat[ab].items():
-                w2 = mat[ef].get(cd)
-                if w2 is not None:
-                    total = total + w1 * w2.permute_z(swap)
-            want = 1 if ab == cd else 0
-            if not S.frac_eq(total, want):
-                failures.append((ab, cd))
+    """M(i; s_i z) M(i; z) is the identity on the all-plus sector: the
+    all-plus block of the exact inversion product at rows (i, i + 1).
+    Failures are ((a, b), (c, d)) charge pairs in sorted order."""
+    (_, _, bad), = check_crossings(_ice_table(nq), (i, i + 1), nq, p=None)
+    failures = sorted((row[::-1], col[::-1]) for row, col in bad
+                      if 0 not in row + col)
     return {"i": i, "nq": nq, "failures": failures, "ok": not failures}
 
 

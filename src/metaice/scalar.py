@@ -514,6 +514,40 @@ def frac_eq(x, y):
 
 # -- modular identity testing --------------------------------------------
 
+# The smallest strong pseudoprime to the first 13 prime bases (OEIS
+# A014233); below it those bases decide primality exactly.  The first 12
+# bases alone are fooled by 318665857834031151167461.
+PRIME_TEST_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin test, exact for n < PRIME_TEST_BOUND;
+    larger n raise ValueError."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError("primality of %d is not decided exactly" % n)
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class ModAssignment:
     """A random point for modular identity checks.
 

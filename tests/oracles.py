@@ -181,3 +181,68 @@ def brute_force_states(r, N, top_minus_columns, nq):
             if adm:
                 states.append((vertical, horizontal))
     return states
+
+
+# -- dense per-boundary braid and inversion sums ---------------------------
+
+def _decorated(nq):
+    return [(-1, 0)] + [(1, c) for c in range(1, nq + 1)]
+
+
+def rrr_sums(boundary, rows, nq, weight, S):
+    """Both sides of the three-strand braid identity at one boundary
+    (alpha, beta, gamma, phi, eps, dlt), summed over every labelling of
+    the internal edges.  weight(nw, sw, ne, se, rows, nq) is the crossing
+    weight; returns (lhs, rhs) as Fracs."""
+    alpha, beta, gamma, phi, eps, dlt = boundary
+    i, j, k = rows
+    dv = _decorated(nq)
+    lhs = S.Frac(S.zero(nq), S.one(nq))
+    for x in dv:
+        for y in dv:
+            w1 = weight(beta, alpha, x, y, (j, k), nq)
+            if w1.is_zero():
+                continue
+            for w in dv:
+                w2 = weight(gamma, x, dlt, w, (i, k), nq)
+                if w2.is_zero():
+                    continue
+                w3 = weight(w, y, eps, phi, (i, j), nq)
+                if w3.is_zero():
+                    continue
+                lhs = lhs + w1 * w2 * w3
+    rhs = S.Frac(S.zero(nq), S.one(nq))
+    for x2 in dv:
+        for y2 in dv:
+            u1 = weight(gamma, beta, y2, x2, (i, j), nq)
+            if u1.is_zero():
+                continue
+            for w2 in dv:
+                u2 = weight(x2, alpha, w2, phi, (i, k), nq)
+                if u2.is_zero():
+                    continue
+                u3 = weight(y2, w2, dlt, eps, (j, k), nq)
+                if u3.is_zero():
+                    continue
+                rhs = rhs + u1 * u2 * u3
+    return lhs, rhs
+
+
+def unitarity_sum(boundary, rows, nq, weight, S):
+    """sum_{x,y} W_ij(beta, alpha -> x, y) W_ji(x, y -> dlt, gamma) at
+    the boundary (alpha, beta, gamma, dlt); the identity wants
+    [alpha = gamma][beta = dlt]."""
+    alpha, beta, gamma, dlt = boundary
+    i, j = rows
+    dv = _decorated(nq)
+    total = S.Frac(S.zero(nq), S.one(nq))
+    for x in dv:
+        for y in dv:
+            w1 = weight(beta, alpha, x, y, (i, j), nq)
+            if w1.is_zero():
+                continue
+            w2 = weight(x, y, dlt, gamma, (j, i), nq)
+            if w2.is_zero():
+                continue
+            total = total + w1 * w2
+    return total

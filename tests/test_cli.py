@@ -11,6 +11,8 @@ from metaice import crystal as C
 from metaice import metaplectic as MP
 from metaice import cli
 
+MODULAR = ("--mode", "modular", "--prime", str(S.DEFAULT_PRIME))
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -97,12 +99,45 @@ def test_usage_errors_exit_two(capsys):
         ("ice", "partition", "--lambda", "1,0", "--b", "1"),  # b without n
         ("ice", "partition", "--lambda", "junk"),
         ("verify", "nosuchsuite"),
+        ("verify", "rrr", "--nq", "2", *MODULAR, "--seed", "7", "--trials", "0"),
+        # 2^62 is composite; 1 is below 2; the bound is beyond exact testing
+        ("verify", "unitarity", "--nq", "2", "--mode", "modular",
+         "--prime", str(1 << 62), "--seed", "7"),
+        ("verify", "rrr", "--mode", "modular", "--prime", "1", "--seed", "7"),
+        ("verify", "rrr", "--mode", "modular",
+         "--prime", str(S.PRIME_TEST_BOUND), "--seed", "7"),
     )
     for argv in bad:
         with pytest.raises(SystemExit) as err:
             cli.main(list(argv))
         assert err.value.code == 2, argv
         capsys.readouterr()
+
+
+def test_zero_seed_and_trial_count_reach_the_scan(capsys, monkeypatch):
+    calls = []
+
+    def spy(nq, trials=20, seed=None, p=None):
+        calls.append((nq, trials, seed, p))
+        return {"mode": "modular", "points": trials, "boundaries": 1,
+                "failures": [], "ok": True, "sz_log2_bound": -100.0}
+
+    monkeypatch.setattr(cli.RV, "rrr_scan", spy)
+    code, _ = run_cli(capsys, "verify", "rrr", "--nq", "2", *MODULAR,
+                      "--seed", "0", "--trials", "1")
+    assert code == 0
+    assert calls == [(2, 1, 0, S.DEFAULT_PRIME)]
+
+
+def test_vanished_denominator_is_a_failing_case(capsys):
+    # at p = 3 a crossing denominator 1 - v Z vanishes on the first point
+    for suite in ("rrr", "unitarity"):
+        code, out = run_cli(capsys, "verify", suite, "--nq", "2", "--mode",
+                            "modular", "--prime", "3", "--seed", "1")
+        assert code == 1
+        case = json.loads(out)[0]
+        assert case["verdict"] == "fail"
+        assert case["lhs"]["error"].startswith("nq=2, trial 0 of seed 1:")
 
 
 def test_verification_failure_exits_one(capsys):
@@ -117,16 +152,10 @@ def test_verification_failure_exits_one(capsys):
 
 # -- report behavior ----------------------------------------------------------
 
-def test_reports_are_byte_identical(capsys, monkeypatch):
+def test_reports_are_byte_identical(capsys):
     _, first = run_cli(capsys, "verify", "twist", "--nq", "1,2")
     _, second = run_cli(capsys, "verify", "twist", "--nq", "1,2")
     assert first == second
-    monkeypatch.setenv("METAICE_WORKERS", "3")
-    _, fanned = run_cli(capsys, "verify", "twist", "--nq", "1,2")
-    assert fanned == first
-    monkeypatch.setenv("METAICE_WORKERS", "junk")
-    _, cleaned = run_cli(capsys, "verify", "twist", "--nq", "1,2")
-    assert cleaned == first
 
 
 def test_seeded_modular_reports_are_reproducible(capsys):

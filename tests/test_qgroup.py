@@ -239,3 +239,17 @@ def test_matrix_json_triplets():
     assert len(dump) == len(K)
     row, col, entry = dump[0]
     assert S.frac_eq(S.Frac.from_json(entry), K[(tuple(row), tuple(col))])
+
+
+def test_perturbed_matrix_failures_keep_trial_and_tag_order():
+    nq = 2
+
+    def bent(z):
+        mat = Q.kojima_r(z, nq)
+        mat[((1, 1), (1, 1))] = mat[((1, 1), (1, 1))] * 2
+        return mat
+
+    rep = Q.check_graded_ybe(nq, matrix_fn=bent, trials=2)
+    assert not rep["ybe_ok"] and not rep["unitarity_ok"]
+    order = [(t, tag == "unitarity") for t, tag, _key in rep["failures"]]
+    assert order == sorted(order) and {t for t, _ in order} == {0, 1}

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+import oracles
 from metaice import scalar as S
 from metaice import lattice as L
 from metaice import rvertex as R
@@ -202,6 +203,8 @@ def test_rrr_symbolic_spot_checks_nq2():
     for bnd in spots:
         res = R.check_rrr(bnd, (1, 2, 3), nq)
         assert res["equal"], bnd
+        lhs, rhs = oracles.rrr_sums(bnd, (1, 2, 3), nq, R.r_weight, S)
+        assert S.frac_eq(res["lhs_sum"], lhs) and S.frac_eq(res["rhs_sum"], rhs)
 
 
 def test_rrr_modular_scan():
@@ -223,11 +226,89 @@ def test_unitarity_symbolic_spot_checks_nq2():
         for gamma, dlt in ((alpha, beta), (beta, alpha), (m, m)):
             res = R.check_unitarity(alpha, beta, gamma, dlt, (1, 2), nq)
             assert res["equal"]
+            total = oracles.unitarity_sum((alpha, beta, gamma, dlt), (1, 2),
+                                          nq, R.r_weight, S)
+            assert S.frac_eq(res["lhs_sum"], total)
 
 
 def test_unitarity_modular_scan():
     rep = R.unitarity_scan(2, trials=2, seed=11)
     assert rep["ok"] and rep["sz_log2_bound"] < -40
+
+
+def _ice_tables(nq, pairs):
+    return [R.ice_r_matrix(nq, rows) for rows in pairs]
+
+
+def _plain_swap(nq):
+    return {((b, a), (a, b)): S.Frac(S.one(nq)) for a, b in R.pair_basis(nq)}
+
+
+@pytest.mark.parametrize("nq", [1, 2])
+def test_kernel_entries_match_dense_sums(nq):
+    # every braid and inversion boundary against the per-boundary loops
+    dv = R.decorated_values(nq)
+    zero = S.Frac(S.zero(nq))
+    forward, backward = R.braid_sides(
+        *_ice_tables(nq, ((1, 2), (1, 3), (2, 3))), nq)
+    count = 0
+    for a, b, c, f, e, d in itertools.product(range(nq + 1), repeat=6):
+        lhs, rhs = oracles.rrr_sums((dv[a], dv[b], dv[c], dv[f], dv[e], dv[d]),
+                                    (1, 2, 3), nq, R.r_weight, S)
+        key = ((c, b, a), (f, e, d))
+        assert S.frac_eq(backward.get(key, zero), lhs), key
+        assert S.frac_eq(forward.get(key, zero), rhs), key
+        count += 1
+    assert count == (nq + 1) ** 6
+    inverse = R.inversion_product(*_ice_tables(nq, ((1, 2), (2, 1))),
+                                  _plain_swap(nq))
+    for a, b, c, d in itertools.product(range(nq + 1), repeat=4):
+        total = oracles.unitarity_sum((dv[a], dv[b], dv[c], dv[d]), (1, 2),
+                                      nq, R.r_weight, S)
+        assert S.frac_eq(inverse.get(((b, a), (d, c)), zero), total)
+
+
+def test_modular_kernel_is_the_exact_kernel_at_a_point():
+    nq = 2
+    asg = S.make_assignment(nq, (1, 2, 3), 99)
+    at = lambda mat: {key: S.eval_frac_mod(w, asg) for key, w in mat.items()}
+    braid_tables = _ice_tables(nq, ((1, 2), (1, 3), (2, 3)))
+    inverse_tables = _ice_tables(nq, ((1, 2), (2, 1))) + [_plain_swap(nq)]
+    pairs = list(zip(R.braid_sides(*braid_tables, nq),
+                     R.braid_sides(*map(at, braid_tables), nq, p=asg.p)))
+    pairs.append((R.inversion_product(*inverse_tables),
+                  R.inversion_product(*map(at, inverse_tables), p=asg.p)))
+    for exact, modular in pairs:
+        assert set(modular) <= set(exact)
+        for key, w in exact.items():
+            assert modular.get(key, 0) == S.eval_frac_mod(w, asg), key
+
+
+def test_perturbed_weight_fails_in_boundary_order(monkeypatch):
+    plain = R.r_weight
+
+    def bent(nw, sw, ne, se, rows, nq):
+        w = plain(nw, sw, ne, se, rows, nq)
+        if rows == (1, 2) and nw == sw == ne == se == (1, 1):
+            return w * 2
+        return w
+
+    monkeypatch.setattr(R, "r_weight", bent)
+    for nq in (1, 2):
+        dv = R.decorated_values(nq)
+        braid = [bnd for bnd in itertools.product(dv, repeat=6)
+                 if not S.frac_eq(*oracles.rrr_sums(bnd, (1, 2, 3), nq, bent, S))]
+        inverse = [bnd for bnd in itertools.product(dv, repeat=4)
+                   if not S.frac_eq(oracles.unitarity_sum(bnd, (1, 2), nq, bent, S),
+                                    int(bnd[0] == bnd[2] and bnd[1] == bnd[3]))]
+        assert braid and inverse
+        for scan, want in ((R.rrr_scan, braid), (R.unitarity_scan, inverse)):
+            rep = scan(nq, trials=2, seed=5)
+            if nq > 1:
+                want = [(t, bnd) for t in range(2) for bnd in want]
+            assert rep["failures"] == want and not rep["ok"]
+        rep = R.check_scattering_involution(1, nq)
+        assert rep["failures"] == [((1, 1), (1, 1))]
 
 
 def test_scattering_involution():

@@ -304,3 +304,23 @@ def test_half_power_of_self_paired_symbol_has_no_value():
     asg = make_assignment(2, [], seed=0)
     with pytest.raises(ValueError):
         eval_scalar_mod(x, asg)
+
+
+# -- primality of the modular prime --------------------------------------------
+
+def test_is_prime_agrees_with_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 3000) if S.is_prime(n)] == \
+        [n for n in range(-3, 3000) if by_division(n)]
+
+
+def test_is_prime_on_large_and_adversarial_inputs():
+    assert S.is_prime(S.DEFAULT_PRIME)
+    assert not S.is_prime(1 << 62)
+    # Carmichael numbers and strong pseudoprimes to the first 12 bases
+    assert not S.is_prime(561) and not S.is_prime(3215031751)
+    assert not S.is_prime(399165290221 * 798330580441)
+    assert not S.is_prime(S.DEFAULT_PRIME * ((1 << 17) - 1))
+    with pytest.raises(ValueError):
+        S.is_prime(S.PRIME_TEST_BOUND)
