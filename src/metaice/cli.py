@@ -116,13 +116,10 @@ def _suite_rtt(cfg):
 
 
 def _scan_suite(name, scan, cfg):
-    trials = 20 if cfg.trials is None else cfg.trials
-    seed = DEFAULT_SEED if cfg.seed is None else cfg.seed
-    prime = S.DEFAULT_PRIME if cfg.prime is None else cfg.prime
     cases = []
-    for nq in cfg.nq or (1, 2, 3):
+    for nq in cfg.nq:
         start = _clock(cfg)
-        rep = scan(1) if nq == 1 else scan(nq, trials, seed, prime)
+        rep = scan(1) if nq == 1 else scan(nq, cfg.trials, cfg.seed, cfg.prime)
         took = _elapsed(start)
         lhs = {"mode": rep["mode"], "boundaries": rep["boundaries"],
                "failures": [str(f) for f in rep["failures"]]}
@@ -403,9 +400,19 @@ def _config_from_args(parser, args):
         parser.error("--prime must be a prime below %d" % S.PRIME_TEST_BOUND)
     if cfg.trials is not None and cfg.trials < 1:
         parser.error("--trials must be at least 1")
-    if cfg.subcommand in ("rrr", "unitarity") and cfg.mode == "symbolic":
-        if any(q > 1 for q in cfg.nq or (1, 2, 3)):
+    if cfg.subcommand in ("rrr", "unitarity"):
+        cfg.nq = cfg.nq or (1, 2, 3)
+        cfg.trials = 20 if cfg.trials is None else cfg.trials
+        cfg.seed = DEFAULT_SEED if cfg.seed is None else cfg.seed
+        cfg.prime = S.DEFAULT_PRIME if cfg.prime is None else cfg.prime
+        if cfg.mode == "symbolic" and any(q > 1 for q in cfg.nq):
             parser.error("symbolic scans support nq = 1 only; use --mode modular")
+        factors = 3 if cfg.subcommand == "rrr" else 2   # crossing weights per term
+        for nq in (q for q in cfg.nq if q > 1):
+            bound = RV._sz_log2_bound(nq, cfg.trials, factors, cfg.prime)
+            if bound >= SZ_LOG2_MAX:
+                parser.error("--prime %d is too small: failure bound 2^%.1f at nq=%d"
+                             % (cfg.prime, bound, nq))
     if cfg.subcommand in ("thm82", "whittaker") and cfg.nq is not None:
         parser.error("%s needs cover parameters --n/--b/--c" % cfg.subcommand)
     if cfg.subcommand == "thm82":

@@ -26,14 +26,9 @@ def _long_word(r):
 
 
 def _check_partition(lam, r):
-    lam = tuple(lam)
     if r < 1:
         raise ValueError("rank must be a positive integer")
-    if len(lam) != r:
-        raise ValueError("partition length %d does not match r=%d" % (len(lam), r))
-    if any(a < 0 for a in lam) or any(lam[i] < lam[i + 1] for i in range(r - 1)):
-        raise ValueError("lambda must be weakly decreasing and nonnegative")
-    return lam
+    return L.check_partition(lam, r)
 
 
 class CrystalNode:

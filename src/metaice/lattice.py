@@ -48,19 +48,24 @@ def vertex_weight(north, south, west, east, east_charge, row, nq):
     return (S.one(nq) - S.v_pow(1, nq)) * S.z_pow(row, -nq, nq)
 
 
+def check_partition(lam, r):
+    """lam as a tuple; ValueError unless it is a partition of length r."""
+    lam = tuple(lam)
+    if len(lam) != r:
+        raise ValueError("partition length %d does not match r=%d" % (len(lam), r))
+    if any(a < 0 for a in lam) or any(lam[i] < lam[i + 1] for i in range(r - 1)):
+        raise ValueError("lambda must be weakly decreasing and nonnegative")
+    return lam
+
+
 class System:
     """Grid shape, boundary data and modulus; states are built from it."""
 
-    __slots__ = ["r", "N", "nq", "lam", "top_minus", "left_charges"]
+    __slots__ = ["r", "N", "nq", "lam", "top_minus", "top", "left_charges", "_classes"]
 
     def __init__(self, lam, r, N, nq, left_charges=None):
-        lam = tuple(lam)
-        if r is None:
-            r = len(lam)
-        if len(lam) != r:
-            raise ValueError("partition length %d does not match r=%d" % (len(lam), r))
-        if any(a < 0 for a in lam) or any(lam[i] < lam[i + 1] for i in range(r - 1)):
-            raise ValueError("lambda must be weakly decreasing and nonnegative")
+        lam = check_partition(lam, len(lam) if r is None else r)
+        r = len(lam)
         if N is None:
             N = (lam[0] if lam else 0) + r
         if N < (lam[0] if lam else 0) + r:
@@ -72,11 +77,13 @@ class System:
         self.N = N
         self.nq = nq
         self.top_minus = frozenset(lam[i] + r - 1 - i for i in range(r))
+        self.top = tuple(-1 if N - 1 - j in self.top_minus else 1 for j in range(N))
         if left_charges is not None:
             left_charges = tuple(left_charges)
             if len(left_charges) != r or any(not 0 < c <= nq for c in left_charges):
                 raise ValueError("left charges must be r residues in (0, nq]")
         self.left_charges = left_charges
+        self._classes = None
 
 
 def boundary_from_partition(lam, r=None, N=None, nq=1, left_charges=None):
@@ -159,18 +166,22 @@ class IceState:
         return obj
 
 
+def _row_weight(north, south, hrow, row, nq):
+    """Product of the vertex weights along one grid row, z index row."""
+    w, charge = S.one(nq), 0
+    for j in range(len(north) - 1, -1, -1):
+        charge += hrow[j + 1] == 1
+        w = w * vertex_weight(north[j], south[j], hrow[j], hrow[j + 1],
+                              charge, row, nq)
+    return w
+
+
 def boltzmann_weight(state, nq):
     """Product of the per-vertex weights over the whole grid."""
-    charges = state.charge_grid()
     w = S.one(nq)
     for i in range(state.r):
-        vrow_n = state.vertical[i + 1]
-        vrow_s = state.vertical[i]
-        hrow = state.horizontal[i]
-        crow = charges[i]
-        for j in range(state.N):
-            w = w * vertex_weight(vrow_n[j], vrow_s[j], hrow[j], hrow[j + 1],
-                                  crow[j + 1], i + 1, nq)
+        w = w * _row_weight(state.vertical[i + 1], state.vertical[i],
+                            state.horizontal[i], i + 1, nq)
     return w
 
 
@@ -208,9 +219,8 @@ def _row_completions(north, bottom_row, nq, N):
 
 
 @lru_cache(maxsize=None)
-def _enumerate(lam, r, N, nq):
-    top = tuple(-1 if (N - 1 - j) in {lam[i] + r - 1 - i for i in range(r)} else 1
-                for j in range(N))
+def _enumerate(top, r, nq):
+    N = len(top)
     states = []
 
     def rec(vrows, hrows):
@@ -232,33 +242,45 @@ def enumerate_states(system):
     """All nq-admissible states with the system's boundary, in a fixed
     lexicographic order on vertical spins; filtered by the system's left
     charge classes when present."""
-    states = _enumerate(system.lam, system.r, system.N, system.nq)
+    states = _enumerate(system.top, system.r, system.nq)
     if system.left_charges is None:
         return list(states)
-    want = tuple(system.left_charges)
-    return [s for s in states if s.left_charges(system.nq) == want]
+    return [s for s in states if s.left_charges(system.nq) == system.left_charges]
+
+
+def _class_map(system):
+    """Row transfer, top row first: layer maps each spin row below the rows
+    done to {their reduced left charges: summed weight}; kept on system."""
+    if system._classes is None:
+        r, N, nq = system.r, system.N, system.nq
+        layer = {system.top: {(): S.one(nq)}}
+        for depth in range(r):
+            nxt = {}
+            for north, classes in layer.items():
+                for south, hrow in _row_completions(north, depth == r - 1, nq, N):
+                    w = _row_weight(north, south, hrow, r - depth, nq)
+                    c = reduce_charge(hrow.count(1), nq)
+                    out = nxt.setdefault(south, {})
+                    for charges, value in classes.items():
+                        key = (c,) + charges
+                        out[key] = out.get(key, S.zero(nq)) + value * w
+            layer = nxt
+        # the bottom spin row is all +: one entry, or none without states
+        system._classes = next(iter(layer.values()), {})
+    return system._classes
 
 
 def partition_function(system, charges=None):
-    """Z(S; c): sum of state weights over the boundary's states, filtered
-    to the left-charge class c (entries in (0, nq]) when given."""
-    nq = system.nq
+    """Z(S; c) for the left-charge class c (entries in (0, nq]), by
+    default the system's own; the sum over all classes when neither is set."""
+    charges = system.left_charges if charges is None else tuple(charges)
     if charges is None:
-        charges = system.left_charges
-    total = S.zero(nq)
-    for state in _enumerate(system.lam, system.r, system.N, nq):
-        if charges is not None and state.left_charges(nq) != tuple(charges):
-            continue
-        total = total + boltzmann_weight(state, nq)
-    return total
+        return sum(_class_map(system).values(), S.zero(system.nq))
+    return _class_map(system).get(charges, S.zero(system.nq))
 
 
 def partition_by_class(system):
-    """Map from reduced left-charge vectors to their class partition
-    functions; keys cover exactly the inhabited classes."""
-    nq = system.nq
-    out = {}
-    for state in _enumerate(system.lam, system.r, system.N, nq):
-        c = state.left_charges(nq)
-        out[c] = out.get(c, S.zero(nq)) + boltzmann_weight(state, nq)
-    return out
+    """A copy of {reduced left charges: class partition function} over the
+    inhabited classes, or over the system's own class when it has one."""
+    return {c: value for c, value in _class_map(system).items()
+            if system.left_charges in (None, c)}

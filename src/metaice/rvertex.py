@@ -939,18 +939,14 @@ def train_functional_equation(lam, c, i, system):
     swap = {i: i + 1, i + 1: i}
     lhs = S.Frac.lift(z_c.permute_z(swap))
     ci, cj = c[i - 1], c[i]
-    if ci == cj:
-        keep = r_weight((1, cj), (1, ci), (1, cj), (1, ci), (i, i + 1), nq)
-        rhs = keep * z_c
-        swap_weight = None
-    else:
-        keep = r_weight((1, cj), (1, ci), (1, cj), (1, ci), (i, i + 1), nq)
+    keep = r_weight((1, cj), (1, ci), (1, cj), (1, ci), (i, i + 1), nq)
+    rhs = keep * z_c
+    swap_weight = None
+    if ci != cj:
         swap_weight = r_weight((1, cj), (1, ci), (1, ci), (1, cj),
                                (i, i + 1), nq)
-        sc = list(c)
-        sc[i - 1], sc[i] = sc[i], sc[i - 1]
-        rhs = keep * z_c + swap_weight * partition_function(
-            system, charges=tuple(sc))
+        sc = c[:i - 1] + (cj, ci) + c[i + 1:]
+        rhs = rhs + swap_weight * partition_function(system, charges=sc)
     return {"lambda": system.lam, "nq": nq, "charges": c, "i": i,
             "keep": keep, "swap": swap_weight,
             "lhs": lhs, "rhs": rhs, "equal": S.frac_eq(lhs, rhs)}

@@ -246,3 +246,73 @@ def unitarity_sum(boundary, rows, nq, weight, S):
                 continue
             total = total + w1 * w2
     return total
+
+
+# -- enumerate-and-sum class partition functions ---------------------------
+
+def partition_classes(system, L, S):
+    """Class partition functions by listing every state of the system
+    (filtered to its left charges when present) and multiplying the
+    oracle vertex weights edge by edge; keys are the reduced left-charge
+    vectors of the states found, bottom row first."""
+    nq = system.nq
+    out = {}
+    for st in L.enumerate_states(system):
+        charges = st.charge_grid()
+        w = S.one(nq)
+        for i in range(st.r):
+            for j in range(st.N):
+                w = w * vertex_weight_oracle(
+                    st.vertical[i + 1][j], st.vertical[i][j],
+                    st.horizontal[i][j], st.horizontal[i][j + 1],
+                    charges[i][j + 1], i + 1, nq, S)
+        key = tuple((row[0] - 1) % nq + 1 for row in charges)
+        out[key] = out.get(key, S.zero(nq)) + w
+    return out
+
+
+# -- Tokuyama's formula at modulus one ---------------------------------------
+
+def gt_patterns(top):
+    """Gelfand-Tsetlin patterns with the given weakly decreasing top row,
+    as tuples of rows from the top (length r) down to length 1."""
+    top = tuple(top)
+    if len(top) <= 1:
+        return [(top,)] if top else [()]
+    below = itertools.product(*[range(top[j + 1], top[j] + 1)
+                                for j in range(len(top) - 1)])
+    return [(top,) + rest for row in below for rest in gt_patterns(row)]
+
+
+def _poly_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def tokuyama_z(lam):
+    """Z(S_lam) at nq = 1 by Tokuyama's formula,
+    prod_{i<j} (x_i - v x_j) * s_{lam*}(x) with x_i = 1/z_i and
+    lam*_i = lam_1 - lam_{r+1-i}.  The Schur polynomial is the sum over
+    Gelfand-Tsetlin patterns of x^(row-sum differences).  Returns a dict
+    from (v exponent, x_1 exponent, ..., x_r exponent) to coefficients."""
+    r = len(lam)
+
+    def mono(v, k=None):
+        return tuple([v] + [int(t == k) for t in range(1, r + 1)])
+
+    total = {mono(0): 1}
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            total = _poly_mul(total, {mono(0, i): 1, mono(1, j): -1})
+    star = [lam[0] - lam[r - 1 - i] for i in range(r)]
+    schur = {}
+    for pattern in gt_patterns(star):
+        sums = [sum(row) for row in reversed(pattern)]
+        # x_k carries the row sum of the length-k row minus that of the row below
+        key = (0,) + tuple(sums[k] - (sums[k - 1] if k else 0) for k in range(r))
+        schur[key] = schur.get(key, 0) + 1
+    return _poly_mul(total, schur)

@@ -83,6 +83,23 @@ def test_single_cover_suites_pass(capsys):
         assert all(case["verdict"] == "pass" for case in json.loads(out))
 
 
+def test_train_suite_runs_one_transfer_per_system(capsys, monkeypatch):
+    calls = []
+    completions = L._row_completions
+
+    def spy(*args):
+        calls.append(args)
+        return completions(*args)
+
+    monkeypatch.setattr(L, "_row_completions", spy)
+    code, _ = run_cli(capsys, "verify", "train", "--lambda", "2,2,0", "--nq", "1,2")
+    assert code == 0
+    during = len(calls)
+    for nq in (1, 2):
+        L.partition_by_class(L.boundary_from_partition((2, 2, 0), nq=nq))
+    assert during == len(calls) - during > 0
+
+
 # -- exit codes ---------------------------------------------------------------
 
 def test_usage_errors_exit_two(capsys):
@@ -106,6 +123,9 @@ def test_usage_errors_exit_two(capsys):
         ("verify", "rrr", "--mode", "modular", "--prime", "1", "--seed", "7"),
         ("verify", "rrr", "--mode", "modular",
          "--prime", str(S.PRIME_TEST_BOUND), "--seed", "7"),
+        # prime, but its Schwartz-Zippel bound at nq = 2 is 2^-13.2
+        ("verify", "unitarity", "--nq", "2", "--mode", "modular",
+         "--prime", "101", "--seed", "7"),
     )
     for argv in bad:
         with pytest.raises(SystemExit) as err:
@@ -129,8 +149,20 @@ def test_zero_seed_and_trial_count_reach_the_scan(capsys, monkeypatch):
     assert calls == [(2, 1, 0, S.DEFAULT_PRIME)]
 
 
-def test_vanished_denominator_is_a_failing_case(capsys):
-    # at p = 3 a crossing denominator 1 - v Z vanishes on the first point
+def test_prime_just_large_enough_runs(capsys):
+    for suite in ("rrr", "unitarity"):
+        code, out = run_cli(capsys, "verify", suite, "--nq", "2", "--mode",
+                            "modular", "--prime", "1000003", "--seed", "7")
+        assert code == 0
+        case = json.loads(out)[0]
+        assert case["lhs"]["sz_log2_bound"] < cli.SZ_LOG2_MAX
+    assert round(cli.RV._sz_log2_bound(2, 20, 2, 1000003)) == -279
+
+
+def test_vanished_denominator_is_a_failing_case(capsys, monkeypatch):
+    # at p = 3 a crossing denominator 1 - v Z vanishes on the first point;
+    # such a prime is a usage error, so lift the bound to reach the scan
+    monkeypatch.setattr(cli, "SZ_LOG2_MAX", float("inf"))
     for suite in ("rrr", "unitarity"):
         code, out = run_cli(capsys, "verify", suite, "--nq", "2", "--mode",
                             "modular", "--prime", "3", "--seed", "1")

@@ -352,6 +352,28 @@ def test_charge_class_identity_on_a_twisted_cover():
     assert len(report["checks"]) == 2 and report["skipped"] == 1
 
 
+def _count_row_completions(monkeypatch):
+    calls = []
+    completions = L._row_completions
+
+    def spy(*args):
+        calls.append(args)
+        return completions(*args)
+
+    monkeypatch.setattr(L, "_row_completions", spy)
+    return calls
+
+
+def test_charge_class_identity_runs_one_transfer(monkeypatch):
+    params = MP.CoverParams(3, 1, 1, 3)   # six nonzero classes
+    calls = _count_row_completions(monkeypatch)
+    report = C.verify_thm82((2, 1, 0), 3, 5, params)
+    assert report["ok"] and len(report["checks"]) > 1
+    during = len(calls)
+    L.partition_by_class(L.System((2, 1, 0), 3, 5, params.nq))
+    assert during == len(calls) - during > 0
+
+
 def test_charge_class_identity_rank_mismatch():
     with pytest.raises(ValueError):
         C.verify_thm82((1, 0), 2, 3, MP.CoverParams(2, 1, 1, 3))

@@ -212,6 +212,79 @@ def test_class_z_exponents_share_a_coset():
                 assert all((a - b) % nq == 0 for a, b in zip(full, anchor))
 
 
+def _small_shapes():
+    yield ()
+    for r in range(1, 5):
+        for lam in itertools.product(range(3), repeat=r):
+            if all(lam[i] >= lam[i + 1] for i in range(r - 1)):
+                yield lam
+
+
+def test_class_map_matches_enumerate_and_sum():
+    for lam in _small_shapes():
+        r = len(lam)
+        for nq in (1, 2, 3):
+            for N in (lam[0] + r, lam[0] + r + 1) if lam else (0, 1):
+                sys_ = L.boundary_from_partition(lam, r, N, nq)
+                got = L.partition_by_class(sys_)
+                want = oracles.partition_classes(sys_, L, S)
+                # key for key: zero-valued inhabited classes stay in the map
+                assert got == want, (lam, N, nq)
+    assert L.partition_by_class(L.boundary_from_partition((), 0)) == {(): S.one(1)}
+
+
+def test_class_map_of_filtered_systems():
+    full = L.partition_by_class(L.boundary_from_partition((2, 1, 0), 3, 5, 2))
+    for c in itertools.product((1, 2), repeat=3):
+        sys_ = L.boundary_from_partition((2, 1, 0), 3, 5, 2, left_charges=c)
+        got = L.partition_by_class(sys_)
+        assert got == oracles.partition_classes(sys_, L, S)
+        assert got == ({c: full[c]} if c in full else {})
+        # an explicit class still reads the whole map
+        for other, piece in full.items():
+            assert L.partition_function(sys_, other) == piece
+    assert len(full) < 8   # some filters select no state
+
+
+def test_tokuyama_formula_at_modulus_one():
+    shapes = ((0,), (1, 0), (2, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), (0,) * 4,
+              (2, 1, 1, 0), (3, 2, 0, 0), (1, 0, 0, 0, 0), (2, 1, 0, 0, 0),
+              (0,) * 6, (0,) * 7)  # 0^7 has 218,348 states
+    for lam in shapes:
+        z = L.partition_function(L.boundary_from_partition(lam, nq=1))
+        got = {}
+        for (vq, zex, gex), coef in z.terms.items():
+            assert not gex and vq % 4 == 0
+            x = dict(zex)
+            got[(vq // 4,) + tuple(-x.get(i, 0) for i in range(1, len(lam) + 1))] = coef
+        assert got == oracles.tokuyama_z(lam), lam
+
+
+def test_class_map_is_built_once_and_copied(monkeypatch):
+    calls = []
+    completions = L._row_completions
+
+    def spy(*args):
+        calls.append(args)
+        return completions(*args)
+
+    monkeypatch.setattr(L, "_row_completions", spy)
+    sys_ = L.boundary_from_partition((2, 2, 0), 3, 5, 2)
+    by_class = L.partition_by_class(sys_)
+    built = len(calls)
+    assert built > 0
+    c = next(iter(by_class))
+    piece = by_class[c]
+    total = L.partition_function(sys_)
+    by_class[c] = S.zero(2)
+    by_class[(9, 9, 9)] = S.one(2)
+    assert L.partition_function(sys_, c) == piece
+    assert L.partition_function(sys_, (9, 9, 9)).is_zero()
+    assert L.partition_function(sys_) == total
+    assert L.partition_by_class(sys_) == oracles.partition_classes(sys_, L, S)
+    assert len(calls) == built
+
+
 def test_modulus_one_states_have_no_formal_symbols():
     sys_ = L.boundary_from_partition((2, 2, 0), 3, 5, 1)
     for st in L.enumerate_states(sys_):
