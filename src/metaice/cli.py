@@ -119,7 +119,7 @@ def _scan_suite(name, scan, cfg):
     cases = []
     for nq in cfg.nq:
         start = _clock(cfg)
-        rep = scan(1) if nq == 1 else scan(nq, cfg.trials, cfg.seed, cfg.prime)
+        rep = scan(nq, cfg.trials, cfg.seed, cfg.prime, cfg.mode == "modular")
         took = _elapsed(start)
         lhs = {"mode": rep["mode"], "boundaries": rep["boundaries"],
                "failures": [str(f) for f in rep["failures"]]}
@@ -408,7 +408,7 @@ def _config_from_args(parser, args):
         if cfg.mode == "symbolic" and any(q > 1 for q in cfg.nq):
             parser.error("symbolic scans support nq = 1 only; use --mode modular")
         factors = 3 if cfg.subcommand == "rrr" else 2   # crossing weights per term
-        for nq in (q for q in cfg.nq if q > 1):
+        for nq in (q for q in cfg.nq if q > 1 or cfg.mode == "modular"):
             bound = RV._sz_log2_bound(nq, cfg.trials, factors, cfg.prime)
             if bound >= SZ_LOG2_MAX:
                 parser.error("--prime %d is too small: failure bound 2^%.1f at nq=%d"

@@ -8,13 +8,21 @@ the generating sum reproduce the grid partition functions per left-edge
 charge class after a fixed monomial normalization.
 """
 
+from functools import lru_cache
+
 from . import scalar as S
 from . import lattice as L
 from . import metaplectic as MP
 
 
+@lru_cache(maxsize=None)
 def _root_order(r):
-    return [(i, j) for i in range(1, r) for j in range(i + 1, r + 1)]
+    return tuple((i, j) for i in range(1, r) for j in range(i + 1, r + 1))
+
+
+@lru_cache(maxsize=None)
+def _root_set(r):
+    return frozenset(_root_order(r))
 
 
 def _long_word(r):
@@ -41,15 +49,15 @@ class CrystalNode:
         if r < 1:
             raise ValueError("rank must be a positive integer")
         m = dict(m)
-        if set(m) != set(_root_order(r)):
+        if m.keys() != _root_set(r):
             raise ValueError("m must assign exactly the roots (i, j), 1 <= i < j <= %d" % r)
-        if any(v < 0 for v in m.values()):
-            raise ValueError("root values must be nonnegative")
+        if not all(type(v) is int and v >= 0 for v in m.values()):
+            raise ValueError("root values must be nonnegative ints (bool is refused)")
         self.r = r
         self.m = m
 
     def vector(self):
-        return tuple(self.m[ij] for ij in _root_order(self.r))
+        return tuple(map(self.m.__getitem__, _root_order(self.r)))
 
     def z_exponent(self):
         """Exponent vector of the node monomial: root (i, j) adds its
@@ -215,6 +223,7 @@ def node_weight(node, lam, nq):
     """Product over roots: boxed and circled kills the node, circled
     alone contributes 1, otherwise the two-argument Gauss symbol at
     (column sum, slack)."""
+    L.check_modulus(nq)
     data = root_data(node, lam)
     w = S.one(nq)
     for ij in _root_order(node.r):
@@ -228,16 +237,40 @@ def node_weight(node, lam, nq):
     return w
 
 
+def _rows_below(above):
+    """Strict rows one entry shorter that interleave under `above`:
+    above[q + 1] <= row[q] <= above[q]."""
+    rows = [()]
+    for q in range(len(above) - 1):
+        rows = [row + (x,) for row in rows
+                for x in range(above[q + 1], above[q] + 1) if not row or row[-1] > x]
+    return rows
+
+
 def i_lambda(lam, r, nq):
-    """Generating sum over all nodes of weight times node monomial."""
+    """Generating sum over all nodes of weight times node monomial, as a
+    transfer down the triangular array from the top row lam + rho: each
+    layer maps a row to the summed weight times z-monomial of every
+    pattern prefix ending in it.  Between rows k - 1 and k the root value
+    m = a_{k,l} - a_{k-1,l} adds to z_{r-l} and subtracts from z_{r-k+1}."""
     lam = _check_partition(lam, r)
-    total = S.zero(nq)
-    for node in crystal_enumerate(lam, r):
-        w = node_weight(node, lam, nq)
-        if w.is_zero():
-            continue
-        total = total + w * S.z_mono(node.z_exponent(), nq)
-    return total
+    L.check_modulus(nq)
+    layer = {tuple(lam[t] + r - 1 - t for t in range(r)): S.one(nq)}
+    for k in range(1, r):
+        nxt = {}
+        for above, value in layer.items():
+            for row in _rows_below(above):
+                w = _row_factor(above, row, nq)
+                if w.is_zero():
+                    continue
+                zex = [0] * r
+                for q, x in enumerate(row):
+                    zex[r - k - 1 - q] = x - above[q + 1]
+                zex[r - k] = -sum(zex)
+                term = value * (w * S.z_mono(zex, nq))
+                nxt[row] = nxt[row] + term if row in nxt else term
+        layer = {row: value for row, value in nxt.items() if not value.is_zero()}
+    return sum(layer.values(), S.zero(nq))
 
 
 def _z_vector(zex, r):
@@ -285,11 +318,9 @@ def node_to_gt(node, lam):
 def gt_to_node(pattern):
     """Row differences read back as root values:
     m_{i,j} = a_{r-j+1, r-i} - a_{r-j, r-i}."""
-    r = pattern.r
-    m = {}
-    for (i, j) in _root_order(r):
-        m[(i, j)] = pattern.entry(r - j + 1, r - i) - pattern.entry(r - j, r - i)
-    return CrystalNode(r, m)
+    r, rows = pattern.r, pattern.rows
+    return CrystalNode(r, {(i, j): rows[r - j + 1][j - i - 1] - rows[r - j][j - i]
+                           for i, j in _root_order(r)})
 
 
 def _lam_from_top(pattern):
@@ -302,13 +333,10 @@ def ice_to_gt(state):
     """Column labels with - spin on each band of vertical edges, top
     band first; the bottom boundary must be all +."""
     r, N = state.r, state.N
-    if any(s == -1 for s in state.vertical[0]):
+    if -1 in state.vertical[0]:
         raise ValueError("bottom boundary must carry + spins")
-    rows = []
-    for k in range(r):
-        band = state.vertical[r - k]
-        rows.append(tuple(N - 1 - j for j in range(N) if band[j] == -1))
-    return GTPattern(rows)
+    return GTPattern([N - 1 - j for j, s in enumerate(state.vertical[r - k]) if s == -1]
+                     for k in range(r))
 
 
 def gt_to_ice(pattern, N=None):
@@ -347,44 +375,57 @@ def gt_to_ice(pattern, N=None):
 
 def gt_bijections(x, lam=None, N=None):
     """All three forms of one state, keyed node / pattern / ice; a node
-    input needs the partition to fix the top row."""
+    input needs the partition to fix the top row.  A given lam must match
+    the top row, and a given N the width of a grid input."""
     if isinstance(x, CrystalNode):
         if lam is None:
             raise ValueError("a node input needs lam to fix the top row")
         pattern = node_to_gt(x, lam)
         return {"node": x, "pattern": pattern, "ice": gt_to_ice(pattern, N)}
     if isinstance(x, GTPattern):
-        _lam_from_top(x)
-        return {"node": gt_to_node(x), "pattern": x, "ice": gt_to_ice(x, N)}
-    if isinstance(x, L.IceState):
-        pattern = ice_to_gt(x)
-        _lam_from_top(pattern)
-        return {"node": gt_to_node(pattern), "pattern": pattern, "ice": x}
-    raise ValueError("expected a CrystalNode, GTPattern or IceState")
+        pattern, ice = x, None
+    elif isinstance(x, L.IceState):
+        if N is not None and N != x.N:
+            raise ValueError("N=%r does not match the state's width %d" % (N, x.N))
+        pattern, ice = ice_to_gt(x), x
+    else:
+        raise ValueError("expected a CrystalNode, GTPattern or IceState")
+    top = _lam_from_top(pattern)
+    if lam is not None and tuple(lam) != top:
+        raise ValueError("lam %r does not match the top row, which gives %r"
+                         % (tuple(lam), top))
+    return {"node": gt_to_node(pattern), "pattern": pattern,
+            "ice": gt_to_ice(pattern, N) if ice is None else ice}
+
+
+def _row_factor(above, row, nq):
+    """Weight factor of one row under the row above it: per entry, equal
+    to the upper right gives 1, equal to the upper left gives the formal
+    symbol g(e), strict on both sides gives g(e, 0), equal on both sides
+    kills the pattern; e sums row[t] - above[t + 1] over t >= q."""
+    w, e = S.one(nq), 0
+    for q in range(len(row) - 1, -1, -1):
+        x = row[q]
+        e += x - above[q + 1]
+        left_eq, right_eq = above[q] == x, x == above[q + 1]
+        if left_eq and right_eq:
+            return S.zero(nq)
+        if not right_eq:
+            w = w * S.gauss_eval(e, -1 if left_eq else 0, nq)
+            if w.is_zero():
+                return w
+    return w
 
 
 def gt_weight(pattern, nq):
-    """Product over below-top entries of the four-way factor: equal to
-    the upper right gives 1, equal to the upper left gives the formal
-    symbol g(e), strict on both sides gives g(e, 0), equal on both
-    sides kills the pattern; e is the tail row-difference sum."""
-    r = pattern.r
+    """Product over below-top entries of the four-way factor of
+    _row_factor, taken one row at a time."""
+    L.check_modulus(nq)
     total = S.one(nq)
-    for i in range(1, r):
-        for j in range(i, r):
-            e = sum(pattern.entry(i, k) - pattern.entry(i - 1, k) for k in range(j, r))
-            left_eq = pattern.entry(i - 1, j - 1) == pattern.entry(i, j)
-            right_eq = pattern.entry(i, j) == pattern.entry(i - 1, j)
-            if left_eq and right_eq:
-                return S.zero(nq)
-            if right_eq:
-                pass
-            elif left_eq:
-                total = total * S.gauss_eval(e, -1, nq)
-            else:
-                total = total * S.gauss_eval(e, 0, nq)
-            if total.is_zero():
-                return total
+    for above, row in zip(pattern.rows, pattern.rows[1:]):
+        total = total * _row_factor(above, row, nq)
+        if total.is_zero():
+            return total
     return total
 
 

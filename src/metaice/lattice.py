@@ -58,6 +58,12 @@ def check_partition(lam, r):
     return lam
 
 
+def check_modulus(nq):
+    """ValueError unless nq is a positive int (bool refused)."""
+    if type(nq) is not int or nq < 1:
+        raise ValueError("modulus must be a positive integer")
+
+
 class System:
     """Grid shape, boundary data and modulus; states are built from it."""
 
@@ -70,8 +76,7 @@ class System:
             N = (lam[0] if lam else 0) + r
         if N < (lam[0] if lam else 0) + r:
             raise ValueError("need N >= lambda_1 + r, got N=%d" % N)
-        if nq < 1:
-            raise ValueError("modulus must be a positive integer")
+        check_modulus(nq)
         self.lam = lam
         self.r = r
         self.N = N

@@ -6,6 +6,7 @@ beyond the modular assignment point), so that agreement is evidence and
 not tautology.
 """
 
+import functools
 import itertools
 
 
@@ -271,6 +272,20 @@ def partition_classes(system, L, S):
     return out
 
 
+# -- node-by-node generating sum -------------------------------------------
+
+def i_lambda_by_nodes(lam, r, nq, crystal_enumerate, node_weight, S):
+    """The triangular-array generating sum by listing every node and
+    adding weight times node monomial; the enumerator and the node weight
+    are passed in, since this checks the package's transfer."""
+    total = S.zero(nq)
+    for node in crystal_enumerate(lam, r):
+        w = node_weight(node, lam, nq)
+        if not w.is_zero():
+            total = total + w * S.z_mono(node.z_exponent(), nq)
+    return total
+
+
 # -- Tokuyama's formula at modulus one ---------------------------------------
 
 def gt_patterns(top):
@@ -293,12 +308,14 @@ def _poly_mul(a, b):
     return {k: c for k, c in out.items() if c}
 
 
+@functools.lru_cache(maxsize=None)
 def tokuyama_z(lam):
     """Z(S_lam) at nq = 1 by Tokuyama's formula,
     prod_{i<j} (x_i - v x_j) * s_{lam*}(x) with x_i = 1/z_i and
     lam*_i = lam_1 - lam_{r+1-i}.  The Schur polynomial is the sum over
     Gelfand-Tsetlin patterns of x^(row-sum differences).  Returns a dict
-    from (v exponent, x_1 exponent, ..., x_r exponent) to coefficients."""
+    from (v exponent, x_1 exponent, ..., x_r exponent) to coefficients;
+    it is cached per lam (0^7 takes seconds), so callers must not edit it."""
     r = len(lam)
 
     def mono(v, k=None):
@@ -316,3 +333,14 @@ def tokuyama_z(lam):
         key = (0,) + tuple(sums[k] - (sums[k - 1] if k else 0) for k in range(r))
         schur[key] = schur.get(key, 0) + 1
     return _poly_mul(total, schur)
+
+
+def as_x_poly(z, r):
+    """A modulus-one Scalar in z_1 .. z_r as the dict tokuyama_z returns:
+    (v exponent, x_1 exponent, ..., x_r exponent) -> coefficient, x = 1/z."""
+    out = {}
+    for (vq, zex, gex), coef in z.terms.items():
+        assert not gex and vq % 4 == 0
+        x = dict(zex)
+        out[(vq // 4,) + tuple(-x.get(i, 0) for i in range(1, r + 1))] = coef
+    return out

@@ -126,6 +126,9 @@ def test_usage_errors_exit_two(capsys):
         # prime, but its Schwartz-Zippel bound at nq = 2 is 2^-13.2
         ("verify", "unitarity", "--nq", "2", "--mode", "modular",
          "--prime", "101", "--seed", "7"),
+        # a modular scan at nq = 1 is bounded too: 2^-9.8 here
+        ("verify", "rrr", "--nq", "1", "--mode", "modular",
+         "--prime", "101", "--seed", "7"),
     )
     for argv in bad:
         with pytest.raises(SystemExit) as err:
@@ -137,8 +140,8 @@ def test_usage_errors_exit_two(capsys):
 def test_zero_seed_and_trial_count_reach_the_scan(capsys, monkeypatch):
     calls = []
 
-    def spy(nq, trials=20, seed=None, p=None):
-        calls.append((nq, trials, seed, p))
+    def spy(nq, trials=20, seed=None, p=None, modular=False):
+        calls.append((nq, trials, seed, p, modular))
         return {"mode": "modular", "points": trials, "boundaries": 1,
                 "failures": [], "ok": True, "sz_log2_bound": -100.0}
 
@@ -146,7 +149,7 @@ def test_zero_seed_and_trial_count_reach_the_scan(capsys, monkeypatch):
     code, _ = run_cli(capsys, "verify", "rrr", "--nq", "2", *MODULAR,
                       "--seed", "0", "--trials", "1")
     assert code == 0
-    assert calls == [(2, 1, 0, S.DEFAULT_PRIME)]
+    assert calls == [(2, 1, 0, S.DEFAULT_PRIME, True)]
 
 
 def test_prime_just_large_enough_runs(capsys):
@@ -203,11 +206,21 @@ def test_seeded_modular_reports_are_reproducible(capsys):
 
 
 def test_modes_agree_where_both_run(capsys):
-    code_auto, auto = run_cli(capsys, "verify", "unitarity", "--nq", "1")
-    code_sym, sym = run_cli(capsys, "verify", "unitarity", "--nq", "1",
-                            "--mode", "symbolic")
-    assert code_auto == code_sym == 0
-    assert json.loads(auto)[0]["verdict"] == json.loads(sym)[0]["verdict"]
+    for suite, boundaries in (("unitarity", 16), ("rrr", 64)):
+        code_auto, auto = run_cli(capsys, "verify", suite, "--nq", "1")
+        code_sym, sym = run_cli(capsys, "verify", suite, "--nq", "1",
+                                "--mode", "symbolic")
+        code_mod, mod = run_cli(capsys, "verify", suite, "--nq", "1", *MODULAR,
+                                "--seed", "7", "--trials", "3")
+        assert code_auto == code_sym == code_mod == 0
+        assert auto == sym
+        auto, mod = json.loads(auto)[0], json.loads(mod)[0]
+        assert auto["lhs"]["mode"] == "symbolic"
+        assert auto["lhs"]["boundaries"] == boundaries
+        assert mod["lhs"]["mode"] == "modular" and mod["lhs"]["points"] == 3
+        assert mod["lhs"]["boundaries"] == 3 * boundaries
+        assert mod["lhs"]["sz_log2_bound"] < cli.SZ_LOG2_MAX
+        assert mod["verdict"] == auto["verdict"] == "pass"
 
 
 def test_csv_and_text_formats(capsys):

@@ -91,6 +91,9 @@ def test_node_validation():
         C.CrystalNode(2, {(1, 2): 0, (1, 3): 0})
     with pytest.raises(ValueError):
         C.CrystalNode(2, {(1, 2): -1})
+    for value in (1.5, 1.0, True, False, "1", None):
+        with pytest.raises(ValueError):
+            C.CrystalNode(2, {(1, 2): value})
     with pytest.raises(ValueError):
         C.crystal_enumerate((0, 1), 2)
     with pytest.raises(ValueError):
@@ -157,6 +160,16 @@ def test_membership_bound_violation_raises():
         C.node_weight(nd, (0, 0), 2)
 
 
+def test_membership_failure_names_the_first_root_in_root_order():
+    # (1, 3) and (2, 3) both fail; (1, 2) holds with slack 0
+    nd = C.CrystalNode(3, {(1, 2): 0, (1, 3): 3, (2, 3): 3})
+    with pytest.raises(ValueError, match=r"root \(1, 3\)$"):
+        C.root_data(nd, (0, 0, 0))
+    nd = C.CrystalNode(3, {(1, 2): 5, (1, 3): 5, (2, 3): 5})
+    with pytest.raises(ValueError, match=r"root \(1, 2\)$"):
+        C.root_data(nd, (0, 0, 0))
+
+
 def test_rank_one_generating_sum_is_unit():
     assert C.i_lambda((3,), 1, 2) == 1
     assert C.i_lambda((0,), 1, 1) == 1
@@ -166,6 +179,49 @@ def test_generating_sum_modulus_one_is_fully_evaluated():
     for lam, r in (((2, 2, 0), 3), ((3, 1), 2)):
         for key in C.i_lambda(lam, r, 1).terms:
             assert key[2] == ()
+
+
+def test_transfer_matches_the_node_by_node_sum():
+    cases = [(lam, nq) for r in range(1, 5) for lam in _partitions(r, 3)
+             for nq in (1, 2, 3, 4)]
+    cases += [((4, 3, 2, 1, 0), 2), ((4, 3, 2, 1, 0), 3)]
+    for lam, nq in cases:
+        expected = oracles.i_lambda_by_nodes(lam, len(lam), nq, C.crystal_enumerate,
+                                             C.node_weight, S)
+        assert C.i_lambda(lam, len(lam), nq) == expected, (lam, nq)
+
+
+def test_generating_sum_is_tokuyama_at_modulus_one():
+    # z^shift I_lam is the grid partition function on N = lam_1 + r columns
+    shapes = ((0,), (1, 0), (2, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), (0,) * 4,
+              (2, 1, 1, 0), (3, 2, 0, 0), (1, 0, 0, 0, 0), (2, 1, 0, 0, 0),
+              (0,) * 6, (0,) * 7)  # 0^7 has 136,636 terms
+    for lam in shapes:
+        r = len(lam)
+        N = lam[0] + r
+        shift = [1 - N + t + lam[r - 1 - t] for t in range(r)]
+        z = S.z_mono(shift, 1) * C.i_lambda(lam, r, 1)
+        assert oracles.as_x_poly(z, r) == oracles.tokuyama_z(lam), lam
+
+
+def test_generating_sum_lists_no_nodes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the transfer must not list nodes")
+
+    monkeypatch.setattr(C, "crystal_enumerate", refuse)
+    monkeypatch.setattr(C, "node_weight", refuse)
+    assert not C.i_lambda((2, 1, 0), 3, 2).is_zero()
+    assert C.verify_thm82((2, 1, 0), 3, 5, MP.CoverParams(3, 1, 1, 3))["ok"]
+
+
+def test_modulus_must_be_a_positive_int():
+    for nq in (0, -1, 1.5, True):
+        with pytest.raises(ValueError):
+            C.i_lambda((2, 1, 0), 3, nq)
+        with pytest.raises(ValueError):
+            C.node_weight(ref_node(), REF_LAM, nq)
+        with pytest.raises(ValueError):
+            C.gt_weight(ref_pattern(), nq)
 
 
 # -- class pieces ------------------------------------------------------------
@@ -261,6 +317,14 @@ def test_bijection_input_errors():
         C.ice_to_gt(bottom_minus)
     with pytest.raises(ValueError):
         C.gt_bijections("junk")
+    state = L.IceState(REF_VERTICAL, REF_HORIZONTAL)
+    for form in (ref_pattern(), state):
+        with pytest.raises(ValueError, match="top row"):
+            C.gt_bijections(form, lam=(2, 1, 0))
+        assert C.gt_bijections(form, lam=list(REF_LAM))["node"] == ref_node()
+    with pytest.raises(ValueError, match="width"):
+        C.gt_bijections(state, N=99)
+    assert C.gt_bijections(ref_pattern(), N=6)["ice"].N == 6
 
 
 # -- array weights and charges -----------------------------------------------

@@ -303,10 +303,13 @@ def test_perturbed_weight_fails_in_boundary_order(monkeypatch):
                                     int(bnd[0] == bnd[2] and bnd[1] == bnd[3]))]
         assert braid and inverse
         for scan, want in ((R.rrr_scan, braid), (R.unitarity_scan, inverse)):
+            per_point = [(t, bnd) for t in range(2) for bnd in want]
             rep = scan(nq, trials=2, seed=5)
-            if nq > 1:
-                want = [(t, bnd) for t in range(2) for bnd in want]
-            assert rep["failures"] == want and not rep["ok"]
+            assert rep["failures"] == (want if nq == 1 else per_point)
+            assert not rep["ok"]
+            if nq == 1:
+                rep = scan(1, trials=2, seed=5, modular=True)
+                assert rep["mode"] == "modular" and rep["failures"] == per_point
         rep = R.check_scattering_involution(1, nq)
         assert rep["failures"] == [((1, 1), (1, 1))]
 
