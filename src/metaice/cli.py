@@ -119,7 +119,14 @@ def _scan_suite(name, scan, cfg):
     cases = []
     for nq in cfg.nq:
         start = _clock(cfg)
-        rep = scan(nq, cfg.trials, cfg.seed, cfg.prime, cfg.mode == "modular")
+        try:
+            rep = scan(nq, cfg.trials, cfg.seed, cfg.prime, cfg.mode == "modular")
+        except ZeroDivisionError as exc:
+            # a modular denominator vanished at a sample point; the
+            # message names the trial and the seed
+            cases.append(_case(name, "nq=%d" % nq, {"nq": nq}, {"error": str(exc)},
+                               None, False, _elapsed(start)))
+            continue
         took = _elapsed(start)
         lhs = {"mode": rep["mode"], "boundaries": rep["boundaries"],
                "failures": [str(f) for f in rep["failures"]]}
@@ -445,8 +452,8 @@ def main(argv=None):
     try:
         cases = runner(cfg)
     except (AssertionError, ValueError, ZeroDivisionError) as exc:
-        # ZeroDivisionError: a modular denominator vanished at a sample
-        # point; its message names the trial
+        # the scan suites record a vanished modular denominator per case;
+        # any error that escapes a case becomes one failing record
         cases = [_case(cfg.subcommand, "error", {}, {"error": str(exc)},
                        None, False, None)]
     print(render(cases, cfg.fmt), end="")

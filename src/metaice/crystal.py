@@ -9,6 +9,8 @@ charge class after a fixed monomial normalization.
 """
 
 from functools import lru_cache
+from itertools import chain
+from operator import add, sub
 
 from . import scalar as S
 from . import lattice as L
@@ -23,6 +25,27 @@ def _root_order(r):
 @lru_cache(maxsize=None)
 def _root_set(r):
     return frozenset(_root_order(r))
+
+
+@lru_cache(maxsize=None)
+def _layer_roots(r):
+    """The one root <-> entry map: for k = 1..r-1, the roots fixed between
+    array rows k - 1 and k, in column order.  Entry q of row k gives
+    m_{r-k-q, r-k+1} = a_{k,k+q} - a_{k-1,k+q} = row[q] - above[q + 1]."""
+    return tuple(tuple((r - k - q, r - k + 1) for q in range(r - k))
+                 for k in range(1, r))
+
+
+def _top_row(lam, r):
+    return tuple(lam[t] + r - 1 - t for t in range(r))
+
+
+def _root_values(rows):
+    """Values of the _layer_roots roots, layer after layer, read off
+    consecutive array rows (a whole array, or a row and the row under
+    it): row[q] - above[q + 1]."""
+    return map(sub, chain.from_iterable(rows[1:]),
+               chain.from_iterable(row[1:] for row in rows))
 
 
 def _long_word(r):
@@ -90,13 +113,15 @@ class GTPattern:
     __slots__ = ["r", "rows"]
 
     def __init__(self, rows, strict=True):
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(map(tuple, rows))
         r = len(rows)
         if r < 1:
             raise ValueError("pattern needs at least one row")
         for k, row in enumerate(rows):
             if len(row) != r - k:
                 raise ValueError("row %d must have %d entries" % (k, r - k))
+        if set(map(type, chain.from_iterable(rows))) != {int}:
+            raise ValueError("pattern entries must be ints (bool is refused)")
         for k in range(1, r):
             for t in range(r - k):
                 below = rows[k][t]
@@ -152,50 +177,27 @@ class Decoration:
         return {"circled": self.circled, "boxed": self.boxed}
 
 
-def _row_fills(diff, j_lo, r, below_suffix):
-    """All value tuples for one root row (i, j_lo) .. (i, r): every tail
-    sum from position j stays within diff + 1 + below_suffix[j + 1], and
-    within diff + below_suffix[j] for j > j_lo (row strictness)."""
-    fills = []
-
-    def rec(j, tail, acc):
-        if j < j_lo:
-            fills.append(tuple(acc))
-            return
-        cap = diff + 1 + below_suffix[j + 1] - tail
-        if j > j_lo:
-            cap = min(cap, diff + below_suffix[j] - tail)
-        for m in range(cap + 1):
-            rec(j - 1, tail + m, (m,) + acc)
-
-    rec(r, 0, ())
-    return fills
-
-
 def crystal_enumerate(lam, r):
-    """All root assignments whose triangular array is strict, filled
-    bottom row up since each row's bound reads the row below; sorted by
-    value vector in root order.  Dropping the strictness bound admits
-    extra assignments, but each of those carries a boxed-and-circled
-    root, so the generating sum is unchanged."""
+    """All nodes of the strict triangular arrays with top row lam + rho,
+    built one row at a time by _rows_below, each prefix carrying its last
+    row and its root values so far; sorted by value vector in root order.
+    Dropping the strictness bound would admit extra assignments, but each
+    of those carries a boxed-and-circled root, so the generating sum is
+    unchanged."""
     lam = _check_partition(lam, r)
-    nodes = []
-
-    def build(i, below, acc):
-        if i == 0:
-            nodes.append(CrystalNode(r, acc))
-            return
-        suffix = [0] * (r + 2)
-        for t in range(r, i + 1, -1):
-            suffix[t] = suffix[t + 1] + below[t - (i + 2)]
-        diff = lam[r - i - 1] - lam[r - i]
-        for fill in _row_fills(diff, i + 1, r, suffix):
-            row = dict(acc)
-            for j in range(i + 1, r + 1):
-                row[(i, j)] = fill[j - (i + 1)]
-            build(i - 1, fill, row)
-
-    build(r - 1, (), {})
+    prefixes = [(_top_row(lam, r), ())]
+    # every prefix ending in the same row has the same continuations
+    steps = {}
+    for _ in range(1, r):
+        nxt = []
+        for above, values in prefixes:
+            if above not in steps:
+                steps[above] = [(row, tuple(_root_values((above, row))))
+                                for row in _rows_below(above)]
+            nxt += [(row, values + step) for row, step in steps[above]]
+        prefixes = nxt
+    roots = tuple(chain.from_iterable(_layer_roots(r)))
+    nodes = [CrystalNode(r, zip(roots, values)) for _, values in prefixes]
     nodes.sort(key=CrystalNode.vector)
     return nodes
 
@@ -251,12 +253,12 @@ def i_lambda(lam, r, nq):
     """Generating sum over all nodes of weight times node monomial, as a
     transfer down the triangular array from the top row lam + rho: each
     layer maps a row to the summed weight times z-monomial of every
-    pattern prefix ending in it.  Between rows k - 1 and k the root value
-    m = a_{k,l} - a_{k-1,l} adds to z_{r-l} and subtracts from z_{r-k+1}."""
+    pattern prefix ending in it.  Between two rows each root (i, j) of
+    _layer_roots adds its value to z_i and subtracts it from z_j."""
     lam = _check_partition(lam, r)
     L.check_modulus(nq)
-    layer = {tuple(lam[t] + r - 1 - t for t in range(r)): S.one(nq)}
-    for k in range(1, r):
+    layer = {_top_row(lam, r): S.one(nq)}
+    for roots in _layer_roots(r):
         nxt = {}
         for above, value in layer.items():
             for row in _rows_below(above):
@@ -264,9 +266,9 @@ def i_lambda(lam, r, nq):
                 if w.is_zero():
                     continue
                 zex = [0] * r
-                for q, x in enumerate(row):
-                    zex[r - k - 1 - q] = x - above[q + 1]
-                zex[r - k] = -sum(zex)
+                for (i, j), m in zip(roots, _root_values((above, row))):
+                    zex[i - 1] = m
+                    zex[j - 1] -= m
                 term = value * (w * S.z_mono(zex, nq))
                 nxt[row] = nxt[row] + term if row in nxt else term
         layer = {row: value for row, value in nxt.items() if not value.is_zero()}
@@ -302,25 +304,21 @@ def coset_piece(I, gamma, lam, cosets):
 
 
 def node_to_gt(node, lam):
-    """Stack lambda + rho on top and add each root value below its
-    slot: a_{k,l} = a_{k-1,l} + m_{r-l, r-k+1}; the constructor rejects
-    assignments outside membership."""
+    """Stack lambda + rho on top and add each root value of _layer_roots
+    to the entry up and to the right; the constructor rejects assignments
+    outside membership."""
     r = node.r
     lam = _check_partition(lam, r)
-    rows = [tuple(lam[t] + (r - 1 - t) for t in range(r))]
-    for k in range(1, r):
-        prev = rows[k - 1]
-        rows.append(tuple(prev[l - (k - 1)] + node.m[(r - l, r - k + 1)]
-                          for l in range(k, r)))
+    rows = [_top_row(lam, r)]
+    for roots in _layer_roots(r):
+        rows.append(tuple(map(add, rows[-1][1:], map(node.m.__getitem__, roots))))
     return GTPattern(rows)
 
 
 def gt_to_node(pattern):
-    """Row differences read back as root values:
-    m_{i,j} = a_{r-j+1, r-i} - a_{r-j, r-i}."""
-    r, rows = pattern.r, pattern.rows
-    return CrystalNode(r, {(i, j): rows[r - j + 1][j - i - 1] - rows[r - j][j - i]
-                           for i, j in _root_order(r)})
+    """Row differences read back as root values through _layer_roots."""
+    roots = chain.from_iterable(_layer_roots(pattern.r))
+    return CrystalNode(pattern.r, zip(roots, _root_values(pattern.rows)))
 
 
 def _lam_from_top(pattern):

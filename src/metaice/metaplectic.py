@@ -265,11 +265,6 @@ def tau(mu, i, params):
     return TauPair(tuple(mu), i, nq, tau1, tau2, tuple(target2))
 
 
-def _alpha_mono(i, e, nq):
-    # z^(e alpha) for the simple coroot at rows (i, i+1)
-    return S.z_pow(i, e, nq) * S.z_pow(i + 1, -e, nq)
-
-
 def prop71_check(ci, cj, params):
     """Match tau against the crossing weights at one residue pair.
 
@@ -279,36 +274,20 @@ def prop71_check(ci, cj, params):
     charge-swap weight, and tau2 equals z^(-alpha) times the
     charge-crossing weight.  Equal reduced residues demand the one-term
     identity tau1 + tau2 = z^(-alpha) times the equal-charge weight.
+    The check is theorem12_diagram on the rank-2 cover at i = 1, whose
+    identities are these, each multiplied on both sides by a monomial.
     """
     n = params.n
     if not (0 < ci <= n and 0 < cj <= n):
         raise ValueError("residues must lie in (0, n]")
-    nq = params.nq
-    a = reduce_charge(ci, nq)
-    b = reduce_charge(cj, nq)
-    pair = CoverParams(params.n, params.b, params.c, 2)
-    nu = (1 - a, -b)
-    lead = tau(nu, 1, pair)
-    refl = tau(lead.target2, 1, pair)
-    if a != b:
-        swap_wt = RV.r_weight((1, b), (1, a), (1, b), (1, a), (1, 2), nq)
-        cross_wt = RV.r_weight((1, b), (1, a), (1, a), (1, b), (1, 2), nq)
-        ok1 = S.frac_eq(lead.tau1, swap_wt * _alpha_mono(1, a - b - 1, nq))
-        ok2 = S.frac_eq(refl.tau2, cross_wt * _alpha_mono(1, -1, nq))
-        checks = [ok1, ok2]
-        branch = "two-term"
-    else:
-        equal_wt = RV.r_weight((1, a), (1, a), (1, a), (1, a), (1, 2), nq)
-        total = lead.tau1 + refl.tau2
-        checks = [S.frac_eq(total, equal_wt * _alpha_mono(1, -1, nq))]
-        branch = "one-term"
+    rep = theorem12_diagram(CoverParams(params.n, params.b, params.c, 2), (ci, cj))
     return {
         "residues": (ci, cj),
-        "reduced": (a, b),
-        "nq": nq,
-        "branch": branch,
-        "checks": checks,
-        "ok": all(checks),
+        "reduced": rep["reduced"],
+        "nq": params.nq,
+        "branch": rep["branch"],
+        "checks": rep["checks"],
+        "ok": rep["ok"],
     }
 
 

@@ -191,7 +191,8 @@ def check_graded_ybe(nq, rows=(1, 2, 3), matrix_fn=None, graded=True,
     if matrix_fn is None:
         matrix_fn = lambda z: kojima_r(z, nq)
     results = RV.check_crossings(lambda a, b: matrix_fn(_ratio(a, b, nq)),
-                                 rows, nq, graded, trials, seed, p)
+                                 rows, nq, graded, trials, seed,
+                                 None if nq == 1 else p)
     if nq == 1:
         (_, braid, inverse), = results
         return {"nq": nq, "rows": rows, "graded": graded,

@@ -328,25 +328,24 @@ def inversion_product(t12, t21, tau, p=None):
 
 
 def check_crossings(table, rows, nq, graded=False, trials=20, seed=20260815,
-                    p=S.DEFAULT_PRIME, modular=False):
+                    p=S.DEFAULT_PRIME):
     """Braid and inversion identities for crossing matrices.
 
     table(a, b) is the pair-basis matrix of the crossing at strand rows
     (a, b).  For rows = (i, j, k), with legs 1, 2, 3 on rows i, j, k,
     R12 R13 R23 is compared with R23 R13 R12; for rows (i, j) or
     (i, j, k), R12 tau R21 tau is compared with the identity, tau the
-    (graded) swap.  Exact when p is None, or when nq = 1 and modular is
-    not set; otherwise at `trials` modular points drawn from `seed`, each
-    table entry evaluated once per point.  Returns one (trial, braid keys,
-    inversion keys) per point, the keys naming the entries where the two
-    sides differ."""
+    (graded) swap.  Exact when p is None; otherwise at `trials` modular
+    points drawn from `seed`, each table entry evaluated once per point.
+    Returns one (trial, braid keys, inversion keys) per point, the keys
+    naming the entries where the two sides differ."""
     i, j = rows[:2]
     pairs = [(i, j)] + ([(i, rows[2]), (j, rows[2])] if len(rows) == 3 else [])
     mats = {pair: table(*pair) for pair in pairs + [(j, i)]}
     mats["tau"] = _swap(nq, graded)
     mats["one"] = mat_identity(pair_basis(nq), nq)
-    if p is None or (nq == 1 and not modular):
-        p, points = None, [None]
+    if p is None:
+        points = [None]
     else:
         rng = random.Random(seed)
         points = [S.make_assignment(nq, rows, rng.randrange(1 << 62), p)
@@ -447,7 +446,7 @@ def _ice_scan(rows, nq, trials, seed, p, modular):
     braid = len(rows) == 3
     dv = decorated_values(nq)
     results = check_crossings(_ice_table(nq), rows, nq, trials=trials,
-                              seed=seed, p=p, modular=modular)
+                              seed=seed, p=None if exact else p)
     failures = []
     for t, braid_keys, inverse_keys in results:
         found = sorted(row[::-1] + (col if braid else col[::-1])

@@ -175,6 +175,19 @@ def test_vanished_denominator_is_a_failing_case(capsys, monkeypatch):
         assert case["lhs"]["error"].startswith("nq=2, trial 0 of seed 1:")
 
 
+def test_vanished_denominator_keeps_the_other_cases(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SZ_LOG2_MAX", float("inf"))
+    code, out = run_cli(capsys, "verify", "rrr", "--nq", "1,2", "--prime", "3",
+                        "--seed", "1")
+    assert code == 1
+    exact, vanished = json.loads(out)
+    assert exact["case"] == "nq=1" and exact["verdict"] == "pass"
+    assert exact["lhs"]["mode"] == "symbolic"
+    assert vanished["case"] == "nq=2" and vanished["params"] == {"nq": 2}
+    assert vanished["verdict"] == "fail"
+    assert vanished["lhs"]["error"].startswith("nq=2, trial 0 of seed 1:")
+
+
 def test_verification_failure_exits_one(capsys):
     # grid narrower than the partition needs: a failing case, not a crash
     code, out = run_cli(capsys, "ice", "partition", "--lambda", "2,2,0",

@@ -77,7 +77,12 @@ def test_enumeration_counts_match_pattern_oracle_and_grid():
         for lam in _partitions(r, 6 - r):
             nodes = C.crystal_enumerate(lam, r)
             patterns = oracles.enumerate_strict_patterns(_top_row(lam, r))
-            assert len(nodes) == len(patterns)
+            # m_{i,j} = a_{r-j+1,r-i} - a_{r-j,r-i}, where a_{k,l} is
+            # entry l - k of row k, listed in root order
+            vectors = sorted(tuple(pat[r - j + 1][j - i - 1] - pat[r - j][j - i]
+                                   for i in range(1, r) for j in range(i + 1, r + 1))
+                             for pat in patterns)
+            assert [node.vector() for node in nodes] == vectors
             system = L.boundary_from_partition(lam, r)
             assert len(L.enumerate_states(system)) == len(patterns)
 
@@ -265,6 +270,13 @@ def test_pattern_validation():
         C.GTPattern(((2, 0), (3,)))  # no interleave
     with pytest.raises(ValueError):
         C.GTPattern(((2, 2), (2,)))  # not strict
+    for value in (2.5, 1.0, True, "1"):
+        with pytest.raises(ValueError):
+            C.GTPattern(((value, 0), (0,)))
+        with pytest.raises(ValueError):
+            C.GTPattern(((2, 0), (value,)))
+    with pytest.raises(ValueError):
+        C.gt_bijections(ref_node(), lam=(2.5, 1, 0))  # top row (4.5, 2, 0)
     weak = C.GTPattern(((2, 2), (2,)), strict=False)
     assert not weak.is_strict()
     assert ref_pattern().is_strict()
