@@ -45,9 +45,9 @@ class RunConfig:
         """CoverParams from the n/b/c flags; rank defaults to the
         partition length when one was given."""
         rank = self.rank
-        if rank is None and self.lam is not None:
-            rank = len(self.lam)
-        return MP.CoverParams(self.n, self.b or 0, self.c or 0, rank or 2)
+        if rank is None:
+            rank = 2 if self.lam is None else len(self.lam)
+        return MP.CoverParams(self.n, self.b or 0, self.c or 0, rank)
 
     def modulus(self):
         """Single working modulus: the explicit override, the cover's
@@ -157,7 +157,7 @@ def _suite_twist(cfg):
 def _cover_list(cfg, max_n):
     if cfg.n is not None:
         return [cfg.cover()]
-    rank = cfg.rank or 2
+    rank = 2 if cfg.rank is None else cfg.rank
     return [MP.CoverParams(n, b, c, rank)
             for n in range(1, max_n + 1)
             for b in range(n) for c in range(2 * n)]
@@ -398,6 +398,10 @@ def _config_from_args(parser, args):
         parser.error("--b/--c need --n")
     if cfg.nq is not None and any(q < 1 for q in cfg.nq):
         parser.error("--nq entries must be positive")
+    if cfg.subcommand.startswith("ice-") and cfg.nq is not None and len(cfg.nq) > 1:
+        parser.error("ice commands take one --nq entry")
+    if cfg.rank is not None and cfg.rank < (2 if cfg.subcommand in ("prop71", "thm12") else 1):
+        parser.error("--rank must be at least 2 for prop71 and thm12, and 1 elsewhere")
     if cfg.mode == "modular" and (cfg.prime is None or cfg.seed is None):
         parser.error("--mode modular requires --prime and --seed")
     if cfg.mode == "symbolic" and (cfg.prime is not None or cfg.seed is not None):
@@ -432,8 +436,15 @@ def _config_from_args(parser, args):
             parser.error("whittaker needs cover parameters --n/--b/--c")
         if len(cfg.gamma) != len(cfg.lam):
             parser.error("--gamma must match the partition length")
-    if cfg.lam is not None and cfg.rank is not None and len(cfg.lam) != cfg.rank:
-        parser.error("--rank disagrees with the partition length")
+    try:
+        nq = cfg.modulus()   # builds the cover when one is given
+        if cfg.lam is not None:
+            # partition and --rank, thm82 grid width, ice charges; a
+            # narrow ice grid fails as a case
+            L.System(cfg.lam, cfg.rank, cfg.columns if cfg.subcommand == "thm82" else None,
+                     nq, cfg.charges)
+    except ValueError as exc:
+        parser.error(str(exc))
     return cfg
 
 

@@ -10,7 +10,7 @@ charge class after a fixed monomial normalization.
 
 from functools import lru_cache
 from itertools import chain
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from . import scalar as S
 from . import lattice as L
@@ -179,8 +179,9 @@ class Decoration:
 
 def crystal_enumerate(lam, r):
     """All nodes of the strict triangular arrays with top row lam + rho,
-    built one row at a time by _rows_below, each prefix carrying its last
-    row and its root values so far; sorted by value vector in root order.
+    built one row at a time by lattice._rows_below, each prefix carrying
+    its last row and its root values so far; sorted by value vector in
+    root order, read off the layer-order values before any node is built.
     Dropping the strictness bound would admit extra assignments, but each
     of those carries a boxed-and-circled root, so the generating sum is
     unchanged."""
@@ -193,13 +194,16 @@ def crystal_enumerate(lam, r):
         for above, values in prefixes:
             if above not in steps:
                 steps[above] = [(row, tuple(_root_values((above, row))))
-                                for row in _rows_below(above)]
+                                for row in L._rows_below(above)]
             nxt += [(row, values + step) for row, step in steps[above]]
         prefixes = nxt
     roots = tuple(chain.from_iterable(_layer_roots(r)))
-    nodes = [CrystalNode(r, zip(roots, values)) for _, values in prefixes]
-    nodes.sort(key=CrystalNode.vector)
-    return nodes
+    found = [values for _, values in prefixes]
+    # r <= 1 has one node; at r = 2 the key is the one value, not a 1-tuple
+    perm = [roots.index(root) for root in _root_order(r)]
+    if perm:
+        found.sort(key=itemgetter(*perm))
+    return [CrystalNode(r, zip(roots, values)) for values in found]
 
 
 def root_data(node, lam):
@@ -239,40 +243,25 @@ def node_weight(node, lam, nq):
     return w
 
 
-def _rows_below(above):
-    """Strict rows one entry shorter that interleave under `above`:
-    above[q + 1] <= row[q] <= above[q]."""
-    rows = [()]
-    for q in range(len(above) - 1):
-        rows = [row + (x,) for row in rows
-                for x in range(above[q + 1], above[q] + 1) if not row or row[-1] > x]
-    return rows
-
-
 def i_lambda(lam, r, nq):
-    """Generating sum over all nodes of weight times node monomial, as a
-    transfer down the triangular array from the top row lam + rho: each
-    layer maps a row to the summed weight times z-monomial of every
-    pattern prefix ending in it.  Between two rows each root (i, j) of
-    _layer_roots adds its value to z_i and subtracts it from z_j."""
+    """Generating sum over all nodes of weight times node monomial, by the
+    lattice row transfer down the triangular array from the top row
+    lam + rho, untagged.  A row's weight is _row_factor times the monomial
+    in which each root (i, j) of _layer_roots adds its value to z_i and
+    subtracts it from z_j."""
     lam = _check_partition(lam, r)
     L.check_modulus(nq)
-    layer = {_top_row(lam, r): S.one(nq)}
-    for roots in _layer_roots(r):
-        nxt = {}
-        for above, value in layer.items():
-            for row in _rows_below(above):
-                w = _row_factor(above, row, nq)
-                if w.is_zero():
-                    continue
-                zex = [0] * r
-                for (i, j), m in zip(roots, _root_values((above, row))):
-                    zex[i - 1] = m
-                    zex[j - 1] -= m
-                term = value * (w * S.z_mono(zex, nq))
-                nxt[row] = nxt[row] + term if row in nxt else term
-        layer = {row: value for row, value in nxt.items() if not value.is_zero()}
-    return sum(layer.values(), S.zero(nq))
+
+    def step(roots, above):
+        for row in L._rows_below(above):
+            zex = [0] * r
+            for (i, j), m in zip(roots, _root_values((above, row))):
+                zex[i - 1] = m
+                zex[j - 1] -= m
+            yield row, (), _row_factor(above, row, nq) * S.z_mono(zex, nq)
+
+    layer = L._transfer(_top_row(lam, r), _layer_roots(r), step, nq)
+    return sum((classes[()] for classes in layer.values()), S.zero(nq))
 
 
 def _z_vector(zex, r):
@@ -349,25 +338,10 @@ def gt_to_ice(pattern, N=None):
         raise ValueError("need N > the top row maximum")
     if pattern.rows[r - 1][0] < 0:
         raise ValueError("column labels must be nonnegative")
-    vertical = [[1] * N for _ in range(r + 1)]
-    for k in range(r):
-        for label in pattern.rows[k]:
-            vertical[r - k][N - 1 - label] = -1
-    horizontal = []
-    for i in range(r):
-        row = [0] * (N + 1)
-        row[N] = -1
-        for j in range(N - 1, -1, -1):
-            north, south, east = vertical[i + 1][j], vertical[i][j], row[j + 1]
-            if north == south:
-                row[j] = east
-            elif east != (1 if north == 1 else -1):
-                raise ValueError("spins do not propagate in row %d" % (i + 1,))
-            else:
-                row[j] = -east
-        if row[0] != 1:
-            raise ValueError("left boundary must close with a + spin")
-        horizontal.append(tuple(row))
+    vertical = [L._band((), N)] + [L._band(row, N) for row in reversed(pattern.rows)]
+    horizontal = [L._horizontal_row(vertical[i + 1], vertical[i]) for i in range(r)]
+    if None in horizontal:
+        raise ValueError("spins do not propagate in row %d" % (horizontal.index(None) + 1))
     return L.IceState(vertical, horizontal)
 
 

@@ -10,6 +10,7 @@ charge divisible by nq.  Rows are indexed bottom to top by z_1 .. z_r.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from . import scalar as S
 
@@ -82,7 +83,7 @@ class System:
         self.N = N
         self.nq = nq
         self.top_minus = frozenset(lam[i] + r - 1 - i for i in range(r))
-        self.top = tuple(-1 if N - 1 - j in self.top_minus else 1 for j in range(N))
+        self.top = _band(self.top_minus, N)
         if left_charges is not None:
             left_charges = tuple(left_charges)
             if len(left_charges) != r or any(not 0 < c <= nq for c in left_charges):
@@ -116,36 +117,21 @@ class IceState:
     def charge_grid(self):
         """Unreduced charge of every horizontal edge, same indexing as
         horizontal; entry j counts + spins at or to the right of edge j."""
-        rows = []
-        for hrow in self.horizontal:
-            ch = [0] * (self.N + 1)
-            acc = 0
-            for j in range(self.N, -1, -1):
-                if hrow[j] == 1:
-                    acc += 1
-                ch[j] = acc
-            rows.append(tuple(ch))
-        return tuple(rows)
+        return tuple(tuple(accumulate(int(s == 1) for s in reversed(hrow)))[::-1]
+                     for hrow in self.horizontal)
 
     def left_charges(self, nq=None):
         """Per-row left-boundary charges, bottom to top; reduced into
         (0, nq] when a modulus is given."""
         raw = tuple(row[0] for row in self.charge_grid())
-        if nq is None:
-            return raw
-        return tuple(reduce_charge(c, nq) for c in raw)
+        return raw if nq is None else tuple(reduce_charge(c, nq) for c in raw)
 
     def vertex_kind(self, i, j):
         return VERTEX_TYPES[(self.vertical[i + 1][j], self.vertical[i][j],
                              self.horizontal[i][j], self.horizontal[i][j + 1])]
 
     def is_admissible(self, nq):
-        charges = self.charge_grid()
-        for i in range(self.r):
-            for j in range(self.N + 1):
-                if self.horizontal[i][j] == -1 and charges[i][j] % nq:
-                    return False
-        return True
+        return all(_admissible(hrow, nq) for hrow in self.horizontal)
 
     def sort_key(self):
         return self.vertical
@@ -190,55 +176,76 @@ def boltzmann_weight(state, nq):
     return w
 
 
-def _row_completions(north, bottom_row, nq, N):
-    """All legal (south spins, horizontal row) fillings under a fixed row
-    of north spins.  Walks right to left so each new horizontal edge's
-    charge is already determined, pruning - edges with charge not
-    divisible by nq and rows whose left edge is not +."""
-    results = []
+def _band(labels, N):
+    """Spins of a band of N vertical edges: - at the column labels."""
+    band = [1] * N
+    for label in labels:
+        band[N - 1 - label] = -1
+    return tuple(band)
 
-    def step(j, east, echarge, south, hedges):
-        if j < 0:
-            if east == 1:
-                results.append((tuple(south), tuple(hedges) + (-1,)))
-            return
-        n_ = north[j]
-        if n_ == 1 and east == 1:
-            cands = ((1, 1), (-1, -1))     # a1, c1
-        elif n_ == -1 and east == 1:
-            cands = ((-1, 1),)              # b1
-        elif n_ == 1 and east == -1:
-            cands = ((1, -1),)              # b2
-        else:
-            cands = ((-1, -1), (1, 1))      # a2, c2
-        for s_, w_ in cands:
-            if bottom_row and s_ != 1:
-                continue
-            if w_ == -1 and echarge % nq:
-                continue
-            step(j - 1, w_, echarge + (1 if w_ == 1 else 0),
-                 (s_,) + south, (w_,) + hedges)
 
-    step(N - 1, -1, 0, (), ())
-    return results
+def _rows_below(above):
+    """Strict rows one entry shorter that interleave under `above`:
+    above[q + 1] <= row[q] <= above[q].  These are the rows of a strict
+    Gelfand-Tsetlin pattern, and the column labels of the - spins on the
+    band of vertical edges under a band with - spins at `above`."""
+    rows = [()]
+    for q in range(len(above) - 1):
+        rows = [row + (x,) for row in rows
+                for x in range(above[q + 1], above[q] + 1) if not row or row[-1] > x]
+    return rows
+
+
+def _horizontal_row(north, south):
+    """Horizontal spins between two bands of vertical spins, propagated
+    right to left from the - right boundary: equal spins pass the east
+    spin on, unequal ones need it equal to north and flip it.  None when
+    the spins do not propagate or the left edge does not close with +."""
+    east, row = -1, [-1]
+    for j in range(len(north) - 1, -1, -1):
+        if north[j] != south[j]:
+            if east != north[j]:
+                return None
+            east = -east
+        row.append(east)
+    return tuple(reversed(row)) if east == 1 else None
+
+
+def _admissible(hrow, nq):
+    """True when every - edge of a horizontal row has charge (the + spins
+    to its right) divisible by nq."""
+    charge = 0
+    for spin in reversed(hrow):
+        if spin == 1:
+            charge += 1
+        elif charge % nq:
+            return False
+    return True
+
+
+def _row_completions(north, nq):
+    """All legal (south spins, horizontal row) fillings under a band of
+    north spins: the south band's - spins sit at a row of column labels
+    interleaving under the north band's, and the horizontal row between
+    them must be nq-admissible."""
+    N = len(north)
+    above = tuple(N - 1 - j for j, s in enumerate(north) if s == -1)
+    souths = [_band(labels, N) for labels in _rows_below(above)]
+    rows = [(south, _horizontal_row(north, south)) for south in souths]
+    return [(south, hrow) for south, hrow in rows
+            if hrow is not None and _admissible(hrow, nq)]
 
 
 @lru_cache(maxsize=None)
 def _enumerate(top, r, nq):
-    N = len(top)
-    states = []
-
-    def rec(vrows, hrows):
-        depth = len(hrows)
-        if depth == r:
-            vertical = tuple(reversed(vrows))
-            horizontal = tuple(reversed(hrows))
-            states.append(IceState(vertical, horizontal))
-            return
-        for south, hrow in _row_completions(vrows[-1], depth == r - 1, nq, N):
-            rec(vrows + (south,), hrows + (hrow,))
-
-    rec((top,), ())
+    """Every state as its bands and rows from the top, one row step per
+    distinct band reached."""
+    paths = [((top,), ())]
+    for _ in range(r):
+        below = {north: _row_completions(north, nq) for north in {v[-1] for v, _ in paths}}
+        paths = [(vrows + (south,), hrows + (hrow,)) for vrows, hrows in paths
+                 for south, hrow in below[vrows[-1]]]
+    states = [IceState(vrows[::-1], hrows[::-1]) for vrows, hrows in paths]
     states.sort(key=IceState.sort_key)
     return tuple(states)
 
@@ -253,23 +260,40 @@ def enumerate_states(system):
     return [s for s in states if s.left_charges(system.nq) == system.left_charges]
 
 
+def _transfer(top, layers, step, nq):
+    """The one row transfer, top row first: step(data, north) gives the
+    (row below, class tag, weight) of each step down from north, data
+    being the layer's entry of `layers`.  A layer maps a row to {tags of
+    the steps to it, latest first: summed weight}; zero weights are
+    skipped, zero sums kept."""
+    layer = {top: {(): S.one(nq)}}
+    for data in layers:
+        nxt = {}
+        for north, classes in layer.items():
+            for south, tag, w in step(data, north):
+                if w.is_zero():
+                    continue
+                out = nxt.setdefault(south, {})
+                for key, value in classes.items():
+                    key = tag + key
+                    term = value * w
+                    out[key] = out[key] + term if key in out else term
+        layer = nxt
+    return layer
+
+
 def _class_map(system):
-    """Row transfer, top row first: layer maps each spin row below the rows
-    done to {their reduced left charges: summed weight}; kept on system."""
+    """{reduced left charges: summed weight} by the row transfer down the
+    grid, each row tagged with its reduced charge; kept on system."""
     if system._classes is None:
-        r, N, nq = system.r, system.N, system.nq
-        layer = {system.top: {(): S.one(nq)}}
-        for depth in range(r):
-            nxt = {}
-            for north, classes in layer.items():
-                for south, hrow in _row_completions(north, depth == r - 1, nq, N):
-                    w = _row_weight(north, south, hrow, r - depth, nq)
-                    c = reduce_charge(hrow.count(1), nq)
-                    out = nxt.setdefault(south, {})
-                    for charges, value in classes.items():
-                        key = (c,) + charges
-                        out[key] = out.get(key, S.zero(nq)) + value * w
-            layer = nxt
+        nq = system.nq
+
+        def step(row, north):
+            return [(south, (reduce_charge(hrow.count(1), nq),),
+                     _row_weight(north, south, hrow, row, nq))
+                    for south, hrow in _row_completions(north, nq)]
+
+        layer = _transfer(system.top, range(system.r, 0, -1), step, nq)
         # the bottom spin row is all +: one entry, or none without states
         system._classes = next(iter(layer.values()), {})
     return system._classes

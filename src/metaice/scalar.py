@@ -117,9 +117,6 @@ class Scalar:
             s.terms[(0, (), ())] = n
         return s
 
-    def copy(self):
-        return Scalar(self.terms, self.nq)
-
     def is_zero(self):
         return not self.terms
 
@@ -251,13 +248,6 @@ class Scalar:
             groups.setdefault(zex, {})[(vq, (), gex)] = c
         for zex in sorted(groups):
             yield zex, Scalar(groups[zex], self.nq)
-
-    def z_indices(self):
-        idx = set()
-        for (_, zex, _) in self.terms:
-            for i, _e in zex:
-                idx.add(i)
-        return idx
 
     def permute_z(self, perm):
         """Relabel z variables; perm maps old index -> new index."""

@@ -184,6 +184,42 @@ def brute_force_states(r, N, top_minus_columns, nq):
     return states
 
 
+# -- vertex-by-vertex grid row completion -----------------------------------
+
+def row_completions_by_vertices(north, bottom_row, nq):
+    """All legal (south spins, horizontal row) fillings under a fixed row
+    of north spins, by choosing a vertex type per column.  Walks right to
+    left so each new horizontal edge's charge is already determined,
+    pruning - edges with charge not divisible by nq, rows whose left edge
+    is not +, and, on the bottom row, any - south spin."""
+    results = []
+
+    def step(j, east, echarge, south, hedges):
+        if j < 0:
+            if east == 1:
+                results.append((tuple(south), tuple(hedges) + (-1,)))
+            return
+        n_ = north[j]
+        if n_ == 1 and east == 1:
+            cands = ((1, 1), (-1, -1))     # a1, c1
+        elif n_ == -1 and east == 1:
+            cands = ((-1, 1),)              # b1
+        elif n_ == 1 and east == -1:
+            cands = ((1, -1),)              # b2
+        else:
+            cands = ((-1, -1), (1, 1))      # a2, c2
+        for s_, w_ in cands:
+            if bottom_row and s_ != 1:
+                continue
+            if w_ == -1 and echarge % nq:
+                continue
+            step(j - 1, w_, echarge + (1 if w_ == 1 else 0),
+                 (s_,) + south, (w_,) + hedges)
+
+    step(len(north) - 1, -1, 0, (), ())
+    return results
+
+
 # -- dense per-boundary braid and inversion sums ---------------------------
 
 def _decorated(nq):

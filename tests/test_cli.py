@@ -129,6 +129,17 @@ def test_usage_errors_exit_two(capsys):
         # a modular scan at nq = 1 is bounded too: 2^-9.8 here
         ("verify", "rrr", "--nq", "1", "--mode", "modular",
          "--prime", "101", "--seed", "7"),
+        # rank 1 has no diagram; rank 0 is not a rank
+        ("verify", "thm12", "--rank", "1", "--n", "2", "--b", "1", "--c", "1"),
+        ("verify", "prop71", "--rank", "0", "--n", "2"),
+        ("verify", "rtt", "--rank", "0"),
+        ("ice", "partition", "--lambda", "1,0", "--nq", "2,3"),  # one modulus
+        ("verify", "thm82", "--lambda", "2,1,0", "--n", "0"),  # no cover
+        ("verify", "thm82", "--lambda", "2,1,0", "--n", "2", "--b", "1",
+         "--c", "1", "--columns", "2"),  # grid narrower than lambda_1 + r
+        ("ice", "partition", "--lambda", "2,-1,0", "--nq", "1"),  # no partition
+        ("ice", "partition", "--lambda", "2,1,0", "--nq", "2",
+         "--charges", "1,2"),  # two charges for three rows
     )
     for argv in bad:
         with pytest.raises(SystemExit) as err:

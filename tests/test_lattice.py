@@ -82,6 +82,16 @@ def test_reference_state_admissibility_by_modulus():
     assert not st.is_admissible(3)  # row 3 has a - edge of charge 2
 
 
+def test_horizontal_rows_propagate_between_bands():
+    for i in range(3):
+        assert L._horizontal_row(REF_VERTICAL[i + 1], REF_VERTICAL[i]) \
+            == REF_HORIZONTAL[i]
+    # a - south spin under a + north one needs a + east spin
+    assert L._horizontal_row((1, 1), (1, -1)) is None
+    # equal bands carry the - right boundary through to the left edge
+    assert L._horizontal_row((-1, 1, 1), (-1, 1, 1)) is None
+
+
 def test_reference_state_enumerated_exactly_for_low_moduli():
     for nq, expected in ((1, True), (2, True), (3, False)):
         sys_ = L.boundary_from_partition((2, 2, 0), 3, 5, nq)
@@ -247,6 +257,29 @@ def test_class_map_of_filtered_systems():
         for other, piece in full.items():
             assert L.partition_function(sys_, other) == piece
     assert len(full) < 8   # some filters select no state
+
+
+def test_row_step_matches_the_vertex_search():
+    # every north row reached on r <= 5, lambda_1 <= 3, nq 1-3, two widths
+    rows = 0
+    for r in range(1, 6):
+        for lam in itertools.product(range(4), repeat=r):
+            if any(lam[i] < lam[i + 1] for i in range(r - 1)):
+                continue
+            for nq in (1, 2, 3):
+                for N in (lam[0] + r, lam[0] + r + 1):
+                    layer = {L.boundary_from_partition(lam, r, N, nq).top}
+                    for depth in range(r):
+                        nxt = set()
+                        for north in layer:
+                            rows += 1
+                            want = oracles.row_completions_by_vertices(
+                                north, depth == r - 1, nq)
+                            assert sorted(L._row_completions(north, nq)) == sorted(want), \
+                                (lam, N, nq, north)
+                            nxt.update(south for south, _ in want)
+                        layer = nxt
+    assert rows == 25542
 
 
 def test_tokuyama_formula_at_modulus_one():
