@@ -382,10 +382,30 @@ def build_parser():
     return parser
 
 
+# the flags each verification suite reads, as RunConfig fields; --format
+# and --timings are accepted everywhere
+SUITE_FLAGS = {
+    "appendix": ("nq",),
+    "rtt": ("nq",),
+    "twist": ("nq",),
+    "rrr": ("nq", "mode", "prime", "seed", "trials"),
+    "unitarity": ("nq", "mode", "prime", "seed", "trials"),
+    "prop71": ("n", "b", "c", "rank"),
+    "thm12": ("n", "b", "c", "rank"),
+    "thm82": ("lam", "n", "b", "c", "rank", "columns"),
+    "train": ("lam", "nq"),
+}
+
+
 def _config_from_args(parser, args):
     kw = {name: getattr(args, name, None) for name in RunConfig.__slots__[1:]}
     if args.command == "verify":
         sub = args.suite
+        unused = ["--lambda" if name == "lam" else "--" + name
+                  for name, value in kw.items() if value is not None
+                  and name not in SUITE_FLAGS[sub] + ("fmt", "timings")]
+        if unused:
+            parser.error("%s does not use %s" % (sub, ", ".join(unused)))
     else:
         sub = "%s-%s" % (args.command, args.action) if args.command == "ice" \
             else args.command
@@ -424,8 +444,6 @@ def _config_from_args(parser, args):
             if bound >= SZ_LOG2_MAX:
                 parser.error("--prime %d is too small: failure bound 2^%.1f at nq=%d"
                              % (cfg.prime, bound, nq))
-    if cfg.subcommand in ("thm82", "whittaker") and cfg.nq is not None:
-        parser.error("%s needs cover parameters --n/--b/--c" % cfg.subcommand)
     if cfg.subcommand == "thm82":
         if cfg.lam is None:
             parser.error("thm82 needs --lambda")
@@ -462,7 +480,8 @@ def main(argv=None):
         runner = _whittaker
     try:
         cases = runner(cfg)
-    except (AssertionError, ValueError, ZeroDivisionError) as exc:
+    except (AssertionError, KeyError, MemoryError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         # the scan suites record a vanished modular denominator per case;
         # any error that escapes a case becomes one failing record
         cases = [_case(cfg.subcommand, "error", {}, {"error": str(exc)},

@@ -10,7 +10,7 @@ charge class after a fixed monomial normalization.
 
 from functools import lru_cache
 from itertools import chain
-from operator import add, itemgetter, sub
+from operator import add, gt, itemgetter, le, sub
 
 from . import scalar as S
 from . import lattice as L
@@ -37,7 +37,7 @@ def _layer_roots(r):
 
 
 def _top_row(lam, r):
-    return tuple(lam[t] + r - 1 - t for t in range(r))
+    return tuple(map(add, lam, range(r - 1, -1, -1)))
 
 
 def _root_values(rows):
@@ -64,7 +64,9 @@ def _check_partition(lam, r):
 
 class CrystalNode:
     """Nonnegative integer on every positive root (i, j), i < j <= r,
-    listed against the fixed reduced word."""
+    listed against the fixed reduced word.  The constructor validates its
+    arguments; the package's enumeration and bijections build nodes valid
+    by construction through _trusted, which skips the checks."""
 
     __slots__ = ["r", "m"]
 
@@ -78,6 +80,14 @@ class CrystalNode:
             raise ValueError("root values must be nonnegative ints (bool is refused)")
         self.r = r
         self.m = m
+
+    @classmethod
+    def _trusted(cls, r, m):
+        """A node from a dict m that is known to be valid for rank r."""
+        node = object.__new__(cls)
+        node.r = r
+        node.m = m
+        return node
 
     def vector(self):
         return tuple(map(self.m.__getitem__, _root_order(self.r)))
@@ -108,29 +118,32 @@ class CrystalNode:
 class GTPattern:
     """Triangular array, rows 0..r-1; row k holds a_{k,l} for l = k..r-1
     and interleaves with the row above: a_{k-1,l} <= a_{k,l} <= a_{k-1,l-1}.
-    Strict patterns also decrease strictly within every row."""
+    Strict patterns also decrease strictly within every row.  The
+    constructor validates its rows; the package's bijections build
+    patterns valid by construction through _trusted, which skips the
+    checks."""
 
     __slots__ = ["r", "rows"]
 
     def __init__(self, rows, strict=True):
         rows = tuple(map(tuple, rows))
-        r = len(rows)
-        if r < 1:
-            raise ValueError("pattern needs at least one row")
-        for k, row in enumerate(rows):
-            if len(row) != r - k:
-                raise ValueError("row %d must have %d entries" % (k, r - k))
+        _check_shape(rows)
         if set(map(type, chain.from_iterable(rows))) != {int}:
             raise ValueError("pattern entries must be ints (bool is refused)")
-        for k in range(1, r):
-            for t in range(r - k):
-                below = rows[k][t]
-                if not rows[k - 1][t + 1] <= below <= rows[k - 1][t]:
-                    raise ValueError("rows %d and %d do not interleave" % (k - 1, k))
+        _check_interleave(rows)
         if strict and not _rows_strict(rows):
             raise ValueError("pattern rows must strictly decrease")
-        self.r = r
+        self.r = len(rows)
         self.rows = rows
+
+    @classmethod
+    def _trusted(cls, rows):
+        """A pattern from a tuple of row tuples known to form a valid
+        strict pattern."""
+        pattern = object.__new__(cls)
+        pattern.r = len(rows)
+        pattern.rows = rows
+        return pattern
 
     def entry(self, k, l):
         return self.rows[k][l - k]
@@ -151,7 +164,26 @@ class GTPattern:
 
 
 def _rows_strict(rows):
-    return all(row[t] > row[t + 1] for row in rows for t in range(len(row) - 1))
+    return all(all(map(gt, row, row[1:])) for row in rows)
+
+
+def _check_shape(rows):
+    """ValueError unless there is a row and row k has r - k entries."""
+    r = len(rows)
+    if r < 1:
+        raise ValueError("pattern needs at least one row")
+    for k, row in enumerate(rows):
+        if len(row) != r - k:
+            raise ValueError("row %d must have %d entries" % (k, r - k))
+
+
+def _check_interleave(rows):
+    """ValueError naming the first pair of rows where a_{k-1,l} <= a_{k,l}
+    <= a_{k-1,l-1} fails."""
+    for k in range(1, len(rows)):
+        above, row = rows[k - 1], rows[k]
+        if not (all(map(le, above[1:], row)) and all(map(le, row, above))):
+            raise ValueError("rows %d and %d do not interleave" % (k - 1, k))
 
 
 class Decoration:
@@ -203,7 +235,7 @@ def crystal_enumerate(lam, r):
     perm = [roots.index(root) for root in _root_order(r)]
     if perm:
         found.sort(key=itemgetter(*perm))
-    return [CrystalNode(r, zip(roots, values)) for values in found]
+    return [CrystalNode._trusted(r, dict(zip(roots, values))) for values in found]
 
 
 def root_data(node, lam):
@@ -294,55 +326,75 @@ def coset_piece(I, gamma, lam, cosets):
 
 def node_to_gt(node, lam):
     """Stack lambda + rho on top and add each root value of _layer_roots
-    to the entry up and to the right; the constructor rejects assignments
-    outside membership."""
+    to the entry up and to the right.  Root values are nonnegative ints,
+    so every entry is an int at least its upper right neighbour; what is
+    left to reject is a non-int lam, an entry above its upper left
+    neighbour (outside membership) and a row that is not strict."""
     r = node.r
     lam = _check_partition(lam, r)
-    rows = [_top_row(lam, r)]
-    for roots in _layer_roots(r):
-        rows.append(tuple(map(add, rows[-1][1:], map(node.m.__getitem__, roots))))
-    return GTPattern(rows)
+    if not all(type(a) is int for a in lam):
+        raise ValueError("pattern entries must be ints (bool is refused)")
+    above = _top_row(lam, r)
+    rows, strict, value = [above], True, node.m.__getitem__
+    for k, roots in enumerate(_layer_roots(r), 1):
+        row = tuple(map(add, above[1:], map(value, roots)))
+        if not all(map(le, row, above)):
+            raise ValueError("rows %d and %d do not interleave" % (k - 1, k))
+        # as in GTPattern, every row is tested for interleaving before strictness
+        strict = strict and all(map(gt, row, row[1:]))
+        rows.append(row)
+        above = row
+    if not strict:
+        raise ValueError("pattern rows must strictly decrease")
+    return GTPattern._trusted(tuple(rows))
 
 
 def gt_to_node(pattern):
-    """Row differences read back as root values through _layer_roots."""
+    """Row differences read back as root values through _layer_roots; a
+    valid pattern makes each one a nonnegative int."""
     roots = chain.from_iterable(_layer_roots(pattern.r))
-    return CrystalNode(pattern.r, zip(roots, _root_values(pattern.rows)))
+    return CrystalNode._trusted(pattern.r, dict(zip(roots, _root_values(pattern.rows))))
 
 
 def _lam_from_top(pattern):
     r = pattern.r
-    lam = tuple(pattern.rows[0][t] - (r - 1 - t) for t in range(r))
-    return _check_partition(lam, r)
+    return _check_partition(tuple(map(sub, pattern.rows[0], range(r - 1, -1, -1))), r)
 
 
 def ice_to_gt(state):
     """Column labels with - spin on each band of vertical edges, top
-    band first; the bottom boundary must be all +."""
+    band first; the bottom boundary must be all +.  Labels read left to
+    right are ints and decrease strictly, so the row lengths and the
+    interleaving are what is left to check."""
     r, N = state.r, state.N
     if -1 in state.vertical[0]:
         raise ValueError("bottom boundary must carry + spins")
-    return GTPattern([N - 1 - j for j, s in enumerate(state.vertical[r - k]) if s == -1]
-                     for k in range(r))
+    rows = tuple([tuple([N - 1 - j for j, s in enumerate(state.vertical[r - k]) if s == -1])
+                  for k in range(r)])
+    _check_shape(rows)
+    _check_interleave(rows)
+    return GTPattern._trusted(rows)
 
 
 def gt_to_ice(pattern, N=None):
     """Grid filling with - vertical spins at the pattern's column labels,
-    horizontal spins propagated right to left from the - right boundary."""
-    r = pattern.r
-    if not pattern.is_strict():
+    horizontal spins propagated right to left from the - right boundary.
+    A pattern need not be strict, so strictness is checked here, with
+    the width N, nonnegative labels and the propagation."""
+    rows = pattern.rows
+    if not _rows_strict(rows):
         raise ValueError("pattern rows must strictly decrease")
     if N is None:
-        N = pattern.entry(0, 0) + 1
-    if N < pattern.entry(0, 0) + 1:
+        N = rows[0][0] + 1
+    if N < rows[0][0] + 1:
         raise ValueError("need N > the top row maximum")
-    if pattern.rows[r - 1][0] < 0:
+    if rows[-1][0] < 0:
         raise ValueError("column labels must be nonnegative")
-    vertical = [L._band((), N)] + [L._band(row, N) for row in reversed(pattern.rows)]
-    horizontal = [L._horizontal_row(vertical[i + 1], vertical[i]) for i in range(r)]
+    vertical = (L._band((), N),) + tuple([L._band(row, N) for row in reversed(rows)])
+    horizontal = tuple(map(L._horizontal_row, vertical[1:], vertical))
     if None in horizontal:
         raise ValueError("spins do not propagate in row %d" % (horizontal.index(None) + 1))
-    return L.IceState(vertical, horizontal)
+    return L.IceState._trusted(vertical, horizontal)
 
 
 def gt_bijections(x, lam=None, N=None):

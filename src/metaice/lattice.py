@@ -10,7 +10,8 @@ charge divisible by nq.  Rows are indexed bottom to top by z_1 .. z_r.
 """
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import lt
 
 from . import scalar as S
 
@@ -54,7 +55,7 @@ def check_partition(lam, r):
     lam = tuple(lam)
     if len(lam) != r:
         raise ValueError("partition length %d does not match r=%d" % (len(lam), r))
-    if any(a < 0 for a in lam) or any(lam[i] < lam[i + 1] for i in range(r - 1)):
+    if any(map(lt, lam, repeat(0))) or any(map(lt, lam, lam[1:])):
         raise ValueError("lambda must be weakly decreasing and nonnegative")
     return lam
 
@@ -104,6 +105,10 @@ class IceState:
     left.  horizontal[i][j] is the spin of horizontal edge j in row i+1
     (i = 0 is the bottom row), j = 0 the left boundary edge, j = N the
     right boundary edge.
+
+    The constructor copies its rows into tuples; the package's enumeration
+    and bijections pass tuples of tuples through _trusted, which skips
+    the copy.
     """
 
     __slots__ = ["vertical", "horizontal", "r", "N"]
@@ -113,6 +118,16 @@ class IceState:
         self.horizontal = tuple(tuple(row) for row in horizontal)
         self.r = len(horizontal)
         self.N = len(vertical[0])
+
+    @classmethod
+    def _trusted(cls, vertical, horizontal):
+        """A state from bands and rows that are already tuples of tuples."""
+        state = object.__new__(cls)
+        state.vertical = vertical
+        state.horizontal = horizontal
+        state.r = len(horizontal)
+        state.N = len(vertical[0])
+        return state
 
     def charge_grid(self):
         """Unreduced charge of every horizontal edge, same indexing as
@@ -201,14 +216,14 @@ def _horizontal_row(north, south):
     right to left from the - right boundary: equal spins pass the east
     spin on, unequal ones need it equal to north and flip it.  None when
     the spins do not propagate or the left edge does not close with +."""
-    east, row = -1, [-1]
+    east, row = -1, [-1] * (len(north) + 1)
     for j in range(len(north) - 1, -1, -1):
         if north[j] != south[j]:
             if east != north[j]:
                 return None
             east = -east
-        row.append(east)
-    return tuple(reversed(row)) if east == 1 else None
+        row[j] = east
+    return tuple(row) if east == 1 else None
 
 
 def _admissible(hrow, nq):
@@ -245,7 +260,7 @@ def _enumerate(top, r, nq):
         below = {north: _row_completions(north, nq) for north in {v[-1] for v, _ in paths}}
         paths = [(vrows + (south,), hrows + (hrow,)) for vrows, hrows in paths
                  for south, hrow in below[vrows[-1]]]
-    states = [IceState(vrows[::-1], hrows[::-1]) for vrows, hrows in paths]
+    states = [IceState._trusted(vrows[::-1], hrows[::-1]) for vrows, hrows in paths]
     states.sort(key=IceState.sort_key)
     return tuple(states)
 

@@ -148,6 +148,31 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, unused", [
+    (("verify", "twist", "--nq", "1", "--lambda", "3,1", "--rank", "2", "--columns", "9"),
+     "--rank, --lambda, --columns"),
+    (("verify", "train", "--rank", "5", "--nq", "1"), "--rank"),
+])
+def test_suites_refuse_flags_they_do_not_use(capsys, argv, unused):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith("%s does not use %s\n" % (argv[1], unused))
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError, MemoryError])
+def test_runner_errors_become_one_failing_record(capsys, monkeypatch, error):
+    def broken(cfg):
+        raise error("broken suite")
+
+    monkeypatch.setitem(cli.SUITES, "twist", broken)
+    code, out = run_cli(capsys, "verify", "twist", "--nq", "1")
+    assert code == 1
+    assert json.loads(out) == [{"suite": "twist", "case": "error", "params": {},
+                                "lhs": {"error": str(error("broken suite"))},
+                                "rhs": None, "verdict": "fail", "elapsed": None}]
+
+
 def test_zero_seed_and_trial_count_reach_the_scan(capsys, monkeypatch):
     calls = []
 

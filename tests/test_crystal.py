@@ -339,6 +339,67 @@ def test_bijection_input_errors():
     assert C.gt_bijections(ref_pattern(), N=6)["ice"].N == 6
 
 
+def test_bijections_reject_what_their_input_does_not_imply():
+    # outside membership: the row under (1, 0) would be (2,)
+    with pytest.raises(ValueError, match="rows 0 and 1 do not interleave"):
+        C.node_to_gt(C.CrystalNode(2, {(1, 2): 2}), (0, 0))
+    # inside weak membership, but the row under (2, 1, 0) is (1, 1)
+    weak = C.CrystalNode(3, {(1, 2): 0, (1, 3): 1, (2, 3): 0})
+    with pytest.raises(ValueError, match="strictly decrease"):
+        C.node_to_gt(weak, (0, 0, 0))
+    for lam in ((2.5, 1, 0), (2.0, 2, 0), (True, True, False)):
+        with pytest.raises(ValueError, match="must be ints"):
+            C.node_to_gt(ref_node(), lam)
+    with pytest.raises(ValueError, match="strictly decrease"):
+        C.gt_to_ice(C.GTPattern(((2, 2), (2,)), strict=False))
+    top = (1, -1, -1)   # labels (1, 0)
+    horizontal = ((1, 1, 1, -1), (1, 1, 1, -1))
+    # labels (2,) under (1, 0), and (0,) under (2, 1)
+    for band, above in (((-1, 1, 1), top), ((1, 1, -1), (-1, -1, 1))):
+        apart = L.IceState(((1, 1, 1), band, above), horizontal)
+        with pytest.raises(ValueError, match="rows 0 and 1 do not interleave"):
+            C.ice_to_gt(apart)
+    # two - spins in the band that needs one
+    crowded = L.IceState(((1, 1, 1), (1, -1, -1), top), horizontal)
+    with pytest.raises(ValueError, match="row 1 must have 1 entries"):
+        C.ice_to_gt(crowded)
+    with pytest.raises(ValueError, match="at least one row"):
+        C.ice_to_gt(L.IceState(((1, 1),), ()))
+    # its one band reads as the valid pattern ((1,),)
+    with pytest.raises(ValueError, match="bottom boundary"):
+        C.ice_to_gt(L.IceState(((-1, 1), (-1, 1)), ((1, -1, -1),)))
+
+
+def _assert_rebuilds(x):
+    if isinstance(x, C.CrystalNode):
+        rebuilt = C.CrystalNode(x.r, x.m)
+    elif isinstance(x, C.GTPattern):
+        rebuilt = C.GTPattern(x.rows)
+    else:
+        rebuilt = L.IceState(x.vertical, x.horizontal)
+    assert rebuilt == x
+    for field in type(x).__slots__:
+        assert getattr(rebuilt, field) == getattr(x, field), (x, field)
+
+
+def test_trusted_outputs_pass_the_public_constructors():
+    # the enumerations and bijections build their results without the
+    # constructors' checks; every result must survive those checks
+    shapes = [(lam, r) for r in range(1, 5) for lam in _partitions(r, 7 - r)]
+    shapes.append(((0,) * 6, 6))
+    states_seen = 0
+    for lam, r in shapes:
+        for node in C.crystal_enumerate(lam, r):
+            pattern = C.node_to_gt(node, lam)
+            state = C.gt_to_ice(pattern)
+            for x in (node, pattern, C.gt_to_node(pattern), state, C.ice_to_gt(state)):
+                _assert_rebuilds(x)
+        for state in L.enumerate_states(L.boundary_from_partition(lam, r)):
+            _assert_rebuilds(state)
+            states_seen += 1
+    assert states_seen == 10720 + 7436
+
+
 # -- array weights and charges -----------------------------------------------
 
 def test_pattern_weight_matches_node_weight():
