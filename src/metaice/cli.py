@@ -24,39 +24,26 @@ from . import metaplectic as MP
 from . import crystal as C
 
 
-DEFAULT_SEED = 20260815
 SZ_LOG2_MAX = -40.0
 
 
-class RunConfig:
-    """One parsed invocation: subcommand, cover or modulus data, grid
-    data, evaluation mode, and report options."""
+def cover(args):
+    """CoverParams from the n/b/c flags; rank defaults to the partition
+    length when one was given."""
+    rank = args.rank
+    if rank is None:
+        rank = 2 if args.lam is None else len(args.lam)
+    return MP.CoverParams(args.n, args.b or 0, args.c or 0, rank)
 
-    __slots__ = ["subcommand", "n", "b", "c", "rank", "lam", "columns",
-                 "charges", "gamma", "nq", "mode", "prime", "seed",
-                 "trials", "fmt", "timings"]
 
-    def __init__(self, subcommand, **kw):
-        self.subcommand = subcommand
-        for name in self.__slots__[1:]:
-            setattr(self, name, kw.get(name))
-
-    def cover(self):
-        """CoverParams from the n/b/c flags; rank defaults to the
-        partition length when one was given."""
-        rank = self.rank
-        if rank is None:
-            rank = 2 if self.lam is None else len(self.lam)
-        return MP.CoverParams(self.n, self.b or 0, self.c or 0, rank)
-
-    def modulus(self):
-        """Single working modulus: the explicit override, the cover's
-        n_Q, or 1."""
-        if self.nq is not None:
-            return self.nq[0]
-        if self.n is not None:
-            return self.cover().nq
-        return 1
+def modulus(args):
+    """Single working modulus: the explicit override, the cover's n_Q,
+    or 1."""
+    if args.nq is not None:
+        return args.nq[0]
+    if args.n is not None:
+        return cover(args).nq
+    return 1
 
 
 def _ints(text):
@@ -72,8 +59,8 @@ def _case(suite, case, params, lhs, rhs, ok, elapsed=None):
             "elapsed": elapsed}
 
 
-def _clock(cfg):
-    return time.perf_counter() if cfg.timings else None
+def _clock(args):
+    return time.perf_counter() if args.timings else None
 
 
 def _elapsed(start):
@@ -82,10 +69,10 @@ def _elapsed(start):
 
 # -- verification suites ---------------------------------------------------
 
-def _suite_appendix(cfg):
+def _suite_appendix(args):
     cases = []
-    for nq in cfg.nq or (1, 2, 3, 4):
-        start = _clock(cfg)
+    for nq in args.nq or (1, 2, 3, 4):
+        start = _clock(args)
         rep = RV.appendix_regression(nq)
         took = _elapsed(start)
         bad = {}
@@ -101,106 +88,94 @@ def _suite_appendix(cfg):
     return cases
 
 
-def _suite_rtt(cfg):
-    cases = []
-    for nq in cfg.nq or (1, 2, 3):
-        start = _clock(cfg)
-        rep = RV.rtt_scan(nq)
-        cases.append(_case("rtt", "nq=%d" % nq,
-                           {"nq": nq, "rows": list(rep["rows"])},
-                           {"boundaries": rep["boundaries"],
-                            "inhabited": rep["inhabited"]},
-                           {"failures": [str(f) for f in rep["failures"]]},
-                           rep["ok"], _elapsed(start)))
-    return cases
+def _per_nq(check):
+    """A suite with one case per modulus, 1, 2, 3 by default;
+    check(args, nq) gives the case's params, lhs, rhs and verdict.  A
+    modular denominator that vanishes at a sample point fails only that
+    nq's case; its message names the trial and the seed."""
+    def run(args):
+        cases = []
+        for nq in args.nq or (1, 2, 3):
+            start = _clock(args)
+            try:
+                params, lhs, rhs, ok = check(args, nq)
+            except ZeroDivisionError as exc:
+                params, lhs, rhs, ok = {"nq": nq}, {"error": str(exc)}, None, False
+            cases.append(_case(args.suite, "nq=%d" % nq, params, lhs, rhs, ok,
+                               _elapsed(start)))
+        return cases
+    return run
 
 
-def _scan_suite(name, scan, cfg):
-    cases = []
-    for nq in cfg.nq:
-        start = _clock(cfg)
-        try:
-            rep = scan(nq, cfg.trials, cfg.seed, cfg.prime, cfg.mode == "modular")
-        except ZeroDivisionError as exc:
-            # a modular denominator vanished at a sample point; the
-            # message names the trial and the seed
-            cases.append(_case(name, "nq=%d" % nq, {"nq": nq}, {"error": str(exc)},
-                               None, False, _elapsed(start)))
-            continue
-        took = _elapsed(start)
-        lhs = {"mode": rep["mode"], "boundaries": rep["boundaries"],
-               "failures": [str(f) for f in rep["failures"]]}
-        rhs = {"failures": []}
-        ok = rep["ok"]
-        if rep["mode"] == "modular":
-            lhs["points"] = rep["points"]
-            lhs["sz_log2_bound"] = rep["sz_log2_bound"]
-            rhs["sz_log2_bound_max"] = SZ_LOG2_MAX
-            ok = ok and rep["sz_log2_bound"] < SZ_LOG2_MAX
-        cases.append(_case(name, "nq=%d" % nq, {"nq": nq}, lhs, rhs, ok, took))
-    return cases
+def _rtt(args, nq):
+    rep = RV.rtt_scan(nq)
+    return ({"nq": nq, "rows": list(rep["rows"])},
+            {"boundaries": rep["boundaries"], "inhabited": rep["inhabited"]},
+            {"failures": [str(f) for f in rep["failures"]]}, rep["ok"])
 
 
-def _suite_twist(cfg):
-    cases = []
-    for nq in cfg.nq or (1, 2, 3):
-        start = _clock(cfg)
-        rep = QG.compare_to_ice_r(nq)
-        cases.append(_case("twist", "nq=%d" % nq,
-                           {"nq": nq, "rows": list(rep["rows"])},
-                           {"entries": rep["entries"],
-                            "mismatches": [str(m) for m in rep["mismatches"]]},
-                           {"mismatches": []}, rep["ok"], _elapsed(start)))
-    return cases
+def _twist(args, nq):
+    rep = QG.compare_to_ice_r(nq)
+    return ({"nq": nq, "rows": list(rep["rows"])},
+            {"entries": rep["entries"],
+             "mismatches": [str(m) for m in rep["mismatches"]]},
+            {"mismatches": []}, rep["ok"])
 
 
-def _cover_list(cfg, max_n):
-    if cfg.n is not None:
-        return [cfg.cover()]
-    rank = 2 if cfg.rank is None else cfg.rank
-    return [MP.CoverParams(n, b, c, rank)
-            for n in range(1, max_n + 1)
-            for b in range(n) for c in range(2 * n)]
+def _scan(args, nq):
+    scan = RV.rrr_scan if args.suite == "rrr" else RV.unitarity_scan
+    rep = scan(nq, args.trials, args.seed, args.prime, args.mode == "modular")
+    lhs = {"mode": rep["mode"], "boundaries": rep["boundaries"],
+           "failures": [str(f) for f in rep["failures"]]}
+    rhs = {"failures": []}
+    ok = rep["ok"]
+    if rep["mode"] == "modular":
+        lhs["points"] = rep["points"]
+        lhs["sz_log2_bound"] = rep["sz_log2_bound"]
+        rhs["sz_log2_bound_max"] = SZ_LOG2_MAX
+        ok = ok and rep["sz_log2_bound"] < SZ_LOG2_MAX
+    return {"nq": nq}, lhs, rhs, ok
 
 
-def _suite_prop71(cfg):
-    cases = []
-    for params in _cover_list(cfg, 4):
-        start = _clock(cfg)
-        fails = []
-        pairs = 0
-        for ci, cj in product(range(1, params.n + 1), repeat=2):
-            pairs += 1
-            if not MP.prop71_check(ci, cj, params)["ok"]:
-                fails.append([ci, cj])
-        cases.append(_case("prop71", "n=%d,b=%d,c=%d" % (params.n, params.b, params.c),
-                           params.to_json(), {"pairs": pairs, "failures": fails},
-                           {"failures": []}, not fails, _elapsed(start)))
-    return cases
+def _per_cover(count_key, checks):
+    """A suite with one case per cover: the one given, or every cover with
+    n <= 4; checks(params) yields a (label, ok) pair per identity, and
+    the labels of the failing ones are reported."""
+    def run(args):
+        if args.n is not None:
+            covers = [cover(args)]
+        else:
+            rank = 2 if args.rank is None else args.rank
+            covers = [MP.CoverParams(n, b, c, rank) for n in range(1, 5)
+                      for b in range(n) for c in range(2 * n)]
+        cases = []
+        for params in covers:
+            start = _clock(args)
+            results = list(checks(params))
+            fails = [label for label, ok in results if not ok]
+            cases.append(_case(args.suite, "n=%d,b=%d,c=%d" % (params.n, params.b, params.c),
+                               params.to_json(), {count_key: len(results), "failures": fails},
+                               {"failures": []}, not fails, _elapsed(start)))
+        return cases
+    return run
 
 
-def _suite_thm12(cfg):
-    cases = []
-    for params in _cover_list(cfg, 4):
-        start = _clock(cfg)
-        fails = []
-        count = 0
-        for i in range(1, params.r):
-            for residues in product(range(1, params.n + 1), repeat=params.r):
-                count += 1
-                if not MP.theorem12_diagram(params, residues, i)["ok"]:
-                    fails.append([i, list(residues)])
-        cases.append(_case("thm12", "n=%d,b=%d,c=%d" % (params.n, params.b, params.c),
-                           params.to_json(), {"diagrams": count, "failures": fails},
-                           {"failures": []}, not fails, _elapsed(start)))
-    return cases
+def _prop71_checks(params):
+    for ci, cj in product(range(1, params.n + 1), repeat=2):
+        yield [ci, cj], MP.prop71_check(ci, cj, params)["ok"]
 
 
-def _suite_thm82(cfg):
-    params = cfg.cover()
-    lam = cfg.lam
-    columns = cfg.columns or (lam[0] + len(lam))
-    start = _clock(cfg)
+def _thm12_checks(params):
+    for i in range(1, params.r):
+        for residues in product(range(1, params.n + 1), repeat=params.r):
+            yield [i, list(residues)], MP.theorem12_diagram(params, residues, i)["ok"]
+
+
+def _suite_thm82(args):
+    params = cover(args)
+    lam = args.lam
+    columns = args.columns or (lam[0] + len(lam))
+    start = _clock(args)
     rep = C.verify_thm82(lam, len(lam), columns, params)
     took = _elapsed(start)
     base = dict(rep["params"], **{"lambda": rep["lambda"], "N": rep["N"],
@@ -215,11 +190,11 @@ def _suite_thm82(cfg):
     return cases
 
 
-def _suite_train(cfg):
-    lams = [cfg.lam] if cfg.lam else [(1, 0), (2, 0), (2, 2, 0)]
+def _suite_train(args):
+    lams = [args.lam] if args.lam else [(1, 0), (2, 0), (2, 2, 0)]
     cases = []
-    for lam, nq in product(lams, cfg.nq or (1, 2, 3)):
-        start = _clock(cfg)
+    for lam, nq in product(lams, args.nq or (1, 2, 3)):
+        start = _clock(args)
         system = L.boundary_from_partition(lam, nq=nq)
         r = len(lam)
         fails = []
@@ -239,46 +214,46 @@ def _suite_train(cfg):
 
 # -- data commands -----------------------------------------------------------
 
-def _grid_system(cfg):
-    nq = cfg.modulus()
-    return L.boundary_from_partition(cfg.lam, cfg.rank, cfg.columns, nq,
-                                     cfg.charges), nq
+def _grid(args):
+    """The ice commands' system, modulus and report params."""
+    nq = modulus(args)
+    system = L.boundary_from_partition(args.lam, args.rank, args.columns, nq,
+                                       args.charges)
+    params = {"lambda": list(args.lam), "N": system.N, "nq": nq,
+              "charges": list(args.charges) if args.charges else None}
+    return system, nq, params
 
 
-def _ice_enumerate(cfg):
-    start = _clock(cfg)
-    system, nq = _grid_system(cfg)
+def _ice_enumerate(args):
+    start = _clock(args)
+    system, nq, params = _grid(args)
     states = L.enumerate_states(system)
     payload = {"count": len(states),
                "states": [st.to_json(nq) for st in states]}
-    params = {"lambda": list(cfg.lam), "N": system.N, "nq": nq,
-              "charges": list(cfg.charges) if cfg.charges else None}
     return [_case("ice-enumerate", "states", params, payload, None, True,
                   _elapsed(start))]
 
 
-def _ice_partition(cfg):
-    start = _clock(cfg)
-    system, nq = _grid_system(cfg)
-    value = L.partition_function(system, cfg.charges)
-    params = {"lambda": list(cfg.lam), "N": system.N, "nq": nq,
-              "charges": list(cfg.charges) if cfg.charges else None}
+def _ice_partition(args):
+    start = _clock(args)
+    system, nq, params = _grid(args)
+    value = L.partition_function(system, args.charges)
     return [_case("ice-partition", "Z", params, value.to_json(), None, True,
                   _elapsed(start))]
 
 
-def _whittaker(cfg):
-    start = _clock(cfg)
-    params = cfg.cover()
+def _whittaker(args):
+    start = _clock(args)
+    params = cover(args)
     nq = params.nq
-    lam = cfg.lam
+    lam = args.lam
     r = len(lam)
     cosets = MP.lattice_and_cosets(params)
-    piece = C.coset_piece(C.i_lambda(lam, r, nq), cfg.gamma, lam, cosets)
+    piece = C.coset_piece(C.i_lambda(lam, r, nq), args.gamma, lam, cosets)
     value = S.z_mono(tuple(reversed(lam)), nq) * piece
     took = _elapsed(start)
     base = dict(params.to_json(), **{"lambda": list(lam),
-                                     "gamma": list(cfg.gamma), "nq": nq})
+                                     "gamma": list(args.gamma), "nq": nq})
     return [_case("whittaker", "class-piece", base, piece.to_json(), None,
                   True, None),
             _case("whittaker", "value", base, value.to_json(), None, True,
@@ -287,12 +262,12 @@ def _whittaker(cfg):
 
 SUITES = {
     "appendix": _suite_appendix,
-    "rtt": _suite_rtt,
-    "rrr": lambda cfg: _scan_suite("rrr", RV.rrr_scan, cfg),
-    "unitarity": lambda cfg: _scan_suite("unitarity", RV.unitarity_scan, cfg),
-    "twist": _suite_twist,
-    "prop71": _suite_prop71,
-    "thm12": _suite_thm12,
+    "rtt": _per_nq(_rtt),
+    "rrr": _per_nq(_scan),
+    "unitarity": _per_nq(_scan),
+    "twist": _per_nq(_twist),
+    "prop71": _per_cover("pairs", _prop71_checks),
+    "thm12": _per_cover("diagrams", _thm12_checks),
     "thm82": _suite_thm82,
     "train": _suite_train,
 }
@@ -327,166 +302,149 @@ def render(cases, fmt):
 
 # -- argument parsing --------------------------------------------------------
 
-def _add_report_flags(parser):
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json", dest="fmt")
-    parser.add_argument("--timings", action="store_true",
-                        help="fill per-case wall times (breaks byte-identity)")
+# every flag by its Namespace name: option and argparse keywords
+FLAGS = {
+    "nq": ("--nq", {"type": _ints}),
+    "lam": ("--lambda", {"type": _ints}),
+    "columns": ("--columns", {"type": int}),
+    "charges": ("--charges", {"type": _ints}),
+    "gamma": ("--gamma", {"type": _ints}),
+    "n": ("--n", {"type": int}),
+    "b": ("--b", {"type": int}),
+    "c": ("--c", {"type": int}),
+    "rank": ("--rank", {"type": int}),
+    "mode": ("--mode", {"choices": ("symbolic", "modular")}),
+    "prime": ("--prime", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "trials": ("--trials", {"type": int}),
+    "fmt": ("--format", {"choices": ("json", "csv", "text"), "default": "json"}),
+    "timings": ("--timings", {"action": "store_true",
+                              "help": "fill per-case wall times (breaks byte-identity)"}),
+}
+COVER = ("n", "b", "c", "rank")
+SEEDED = ("mode", "prime", "seed", "trials")
 
-
-def _add_cover_flags(parser):
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--b", type=int)
-    parser.add_argument("--c", type=int)
-    parser.add_argument("--rank", type=int)
-
-
-def _add_mode_flags(parser):
-    parser.add_argument("--mode", choices=("symbolic", "modular"))
-    parser.add_argument("--prime", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="metaice",
-        description="Exact solvable-lattice computations: enumeration, "
-                    "partition functions, Whittaker values, verification suites.")
-    top = parser.add_subparsers(dest="command", required=True)
-
-    verify = top.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=sorted(SUITES))
-    verify.add_argument("--nq", type=_ints)
-    verify.add_argument("--lambda", type=_ints, dest="lam")
-    verify.add_argument("--columns", type=int)
-    _add_cover_flags(verify)
-    _add_mode_flags(verify)
-    _add_report_flags(verify)
-
-    ice = top.add_parser("ice", help="grid-state data commands")
-    ice.add_argument("action", choices=("enumerate", "partition"))
-    ice.add_argument("--lambda", type=_ints, dest="lam", required=True)
-    ice.add_argument("--columns", type=int)
-    ice.add_argument("--charges", type=_ints)
-    ice.add_argument("--nq", type=_ints)
-    _add_cover_flags(ice)
-    _add_report_flags(ice)
-
-    whit = top.add_parser("whittaker", help="class piece of the generating sum")
-    whit.add_argument("--lambda", type=_ints, dest="lam", required=True)
-    whit.add_argument("--gamma", type=_ints, required=True)
-    _add_cover_flags(whit)
-    _add_report_flags(whit)
-
-    return parser
-
-
-# the flags each verification suite reads, as RunConfig fields; --format
-# and --timings are accepted everywhere
+# the flags each verification suite reads; every command also takes
+# --format and --timings
 SUITE_FLAGS = {
     "appendix": ("nq",),
     "rtt": ("nq",),
     "twist": ("nq",),
-    "rrr": ("nq", "mode", "prime", "seed", "trials"),
-    "unitarity": ("nq", "mode", "prime", "seed", "trials"),
-    "prop71": ("n", "b", "c", "rank"),
-    "thm12": ("n", "b", "c", "rank"),
-    "thm82": ("lam", "n", "b", "c", "rank", "columns"),
+    "rrr": ("nq",) + SEEDED,
+    "unitarity": ("nq",) + SEEDED,
+    "prop71": COVER,
+    "thm12": COVER,
+    "thm82": ("lam",) + COVER + ("columns",),
     "train": ("lam", "nq"),
 }
 
 
-def _config_from_args(parser, args):
-    kw = {name: getattr(args, name, None) for name in RunConfig.__slots__[1:]}
-    if args.command == "verify":
-        sub = args.suite
-        unused = ["--lambda" if name == "lam" else "--" + name
-                  for name, value in kw.items() if value is not None
-                  and name not in SUITE_FLAGS[sub] + ("fmt", "timings")]
-        if unused:
-            parser.error("%s does not use %s" % (sub, ", ".join(unused)))
-    else:
-        sub = "%s-%s" % (args.command, args.action) if args.command == "ice" \
-            else args.command
-    cfg = RunConfig(sub, **kw)
+def _command(subparsers, name, suite, run, flags, required=(), **kw):
+    """One subparser that takes exactly `flags`, --format and --timings;
+    its Namespace carries the report's suite name and the runner."""
+    parser = subparsers.add_parser(name, allow_abbrev=False, **kw)
+    for dest in flags + ("fmt", "timings"):
+        option, spec = FLAGS[dest]
+        parser.add_argument(option, dest=dest, required=dest in required, **spec)
+    parser.set_defaults(suite=suite, run=run)
 
-    if cfg.nq is not None and cfg.n is not None:
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="metaice", allow_abbrev=False,
+        description="Exact solvable-lattice computations: enumeration, "
+                    "partition functions, Whittaker values, verification suites.")
+    # a flag the command does not take reads as None
+    parser.set_defaults(**dict.fromkeys(FLAGS))
+    top = parser.add_subparsers(dest="command", required=True)
+
+    verify = top.add_parser("verify", allow_abbrev=False,
+                            help="run a verification suite")
+    suites = verify.add_subparsers(dest="suite", required=True)
+    for suite in sorted(SUITES):
+        _command(suites, suite, suite, SUITES[suite], SUITE_FLAGS[suite])
+
+    ice = top.add_parser("ice", allow_abbrev=False, help="grid-state data commands")
+    actions = ice.add_subparsers(dest="action", required=True)
+    grid = ("lam", "columns", "charges", "nq") + COVER
+    _command(actions, "enumerate", "ice-enumerate", _ice_enumerate, grid, ("lam",))
+    _command(actions, "partition", "ice-partition", _ice_partition, grid, ("lam",))
+
+    _command(top, "whittaker", "whittaker", _whittaker, ("lam", "gamma") + COVER,
+             ("lam", "gamma"), help="class piece of the generating sum")
+    return parser
+
+
+def _config_from_args(parser, args):
+    """The rules that span several flags; a broken one is a usage error.
+    Fills in the scan suites' defaults."""
+    if args.nq is not None and args.n is not None:
         parser.error("--nq overrides the modulus and conflicts with cover "
                      "parameters --n/--b/--c")
-    if (cfg.b is not None or cfg.c is not None) and cfg.n is None:
+    if (args.b is not None or args.c is not None) and args.n is None:
         parser.error("--b/--c need --n")
-    if cfg.nq is not None and any(q < 1 for q in cfg.nq):
+    if args.nq is not None and any(q < 1 for q in args.nq):
         parser.error("--nq entries must be positive")
-    if cfg.subcommand.startswith("ice-") and cfg.nq is not None and len(cfg.nq) > 1:
+    if args.suite.startswith("ice-") and args.nq is not None and len(args.nq) > 1:
         parser.error("ice commands take one --nq entry")
-    if cfg.rank is not None and cfg.rank < (2 if cfg.subcommand in ("prop71", "thm12") else 1):
+    if args.rank is not None and args.rank < (2 if args.suite in ("prop71", "thm12") else 1):
         parser.error("--rank must be at least 2 for prop71 and thm12, and 1 elsewhere")
-    if cfg.mode == "modular" and (cfg.prime is None or cfg.seed is None):
+    if args.mode == "modular" and (args.prime is None or args.seed is None):
         parser.error("--mode modular requires --prime and --seed")
-    if cfg.mode == "symbolic" and (cfg.prime is not None or cfg.seed is not None):
-        parser.error("--prime/--seed only apply to --mode modular")
-    if cfg.prime is not None and not (cfg.prime < S.PRIME_TEST_BOUND
-                                      and S.is_prime(cfg.prime)):
+    if args.prime is not None and not (args.prime < S.PRIME_TEST_BOUND
+                                       and S.is_prime(args.prime)):
         parser.error("--prime must be a prime below %d" % S.PRIME_TEST_BOUND)
-    if cfg.trials is not None and cfg.trials < 1:
+    if args.trials is not None and args.trials < 1:
         parser.error("--trials must be at least 1")
-    if cfg.subcommand in ("rrr", "unitarity"):
-        cfg.nq = cfg.nq or (1, 2, 3)
-        cfg.trials = 20 if cfg.trials is None else cfg.trials
-        cfg.seed = DEFAULT_SEED if cfg.seed is None else cfg.seed
-        cfg.prime = S.DEFAULT_PRIME if cfg.prime is None else cfg.prime
-        if cfg.mode == "symbolic" and any(q > 1 for q in cfg.nq):
+    if args.suite in ("rrr", "unitarity"):
+        args.nq = args.nq or (1, 2, 3)
+        modular = [q for q in args.nq if q > 1 or args.mode == "modular"]
+        if ((args.mode == "symbolic" or not modular)
+                and (args.prime, args.seed, args.trials) != (None, None, None)):
+            parser.error("--prime/--seed/--trials only apply to modular scans: "
+                         "--mode modular or an --nq entry above 1")
+        if args.mode == "symbolic" and modular:
             parser.error("symbolic scans support nq = 1 only; use --mode modular")
-        factors = 3 if cfg.subcommand == "rrr" else 2   # crossing weights per term
-        for nq in (q for q in cfg.nq if q > 1 or cfg.mode == "modular"):
-            bound = RV._sz_log2_bound(nq, cfg.trials, factors, cfg.prime)
+        args.trials = 20 if args.trials is None else args.trials
+        args.seed = S.DEFAULT_SEED if args.seed is None else args.seed
+        args.prime = S.DEFAULT_PRIME if args.prime is None else args.prime
+        factors = 3 if args.suite == "rrr" else 2   # crossing weights per term
+        for nq in modular:
+            bound = RV._sz_log2_bound(nq, args.trials, factors, args.prime)
             if bound >= SZ_LOG2_MAX:
                 parser.error("--prime %d is too small: failure bound 2^%.1f at nq=%d"
-                             % (cfg.prime, bound, nq))
-    if cfg.subcommand == "thm82":
-        if cfg.lam is None:
+                             % (args.prime, bound, nq))
+    if args.suite == "thm82":
+        if args.lam is None:
             parser.error("thm82 needs --lambda")
-        if cfg.n is None:
+        if args.n is None:
             parser.error("thm82 needs cover parameters --n/--b/--c")
-    if cfg.subcommand == "whittaker":
-        if cfg.n is None:
+    if args.suite == "whittaker":
+        if args.n is None:
             parser.error("whittaker needs cover parameters --n/--b/--c")
-        if len(cfg.gamma) != len(cfg.lam):
+        if len(args.gamma) != len(args.lam):
             parser.error("--gamma must match the partition length")
     try:
-        nq = cfg.modulus()   # builds the cover when one is given
-        if cfg.lam is not None:
-            # partition and --rank, thm82 grid width, ice charges; a
-            # narrow ice grid fails as a case
-            L.System(cfg.lam, cfg.rank, cfg.columns if cfg.subcommand == "thm82" else None,
-                     nq, cfg.charges)
+        nq = modulus(args)   # builds the cover when one is given
+        if args.lam is not None:
+            # partition and --rank, grid width, ice charges
+            L.System(args.lam, args.rank, args.columns, nq, args.charges)
     except ValueError as exc:
         parser.error(str(exc))
-    return cfg
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(parser, args)
-    if cfg.subcommand in SUITES:
-        runner = SUITES[cfg.subcommand]
-    elif cfg.subcommand == "ice-enumerate":
-        runner = _ice_enumerate
-    elif cfg.subcommand == "ice-partition":
-        runner = _ice_partition
-    else:
-        runner = _whittaker
+    _config_from_args(parser, args)
     try:
-        cases = runner(cfg)
+        cases = args.run(args)
     except (AssertionError, KeyError, MemoryError, TypeError, ValueError,
             ZeroDivisionError) as exc:
-        # the scan suites record a vanished modular denominator per case;
         # any error that escapes a case becomes one failing record
-        cases = [_case(cfg.subcommand, "error", {}, {"error": str(exc)},
+        cases = [_case(args.suite, "error", {}, {"error": str(exc)},
                        None, False, None)]
-    print(render(cases, cfg.fmt), end="")
+    print(render(cases, args.fmt), end="")
     return 0 if all(case["verdict"] == "pass" for case in cases) else 1
 
 

@@ -179,7 +179,7 @@ def _ratio(i, j, nq):
 
 
 def check_graded_ybe(nq, rows=(1, 2, 3), matrix_fn=None, graded=True,
-                     trials=8, seed=20260815, p=S.DEFAULT_PRIME):
+                     trials=8, seed=S.DEFAULT_SEED, p=S.DEFAULT_PRIME):
     """Braid and inversion identities for a crossing matrix in a formal
     parameter.
 

@@ -327,8 +327,8 @@ def inversion_product(t12, t21, tau, p=None):
     return mat_mul(t12, mat_mul(tau, mat_mul(t21, tau, p), p), p)
 
 
-def check_crossings(table, rows, nq, graded=False, trials=20, seed=20260815,
-                    p=S.DEFAULT_PRIME):
+def check_crossings(table, rows, nq, graded=False, trials=20,
+                    seed=S.DEFAULT_SEED, p=S.DEFAULT_PRIME):
     """Braid and inversion identities for crossing matrices.
 
     table(a, b) is the pair-basis matrix of the crossing at strand rows
@@ -463,7 +463,7 @@ def _ice_scan(rows, nq, trials, seed, p, modular):
             "sz_log2_bound": _sz_log2_bound(nq, trials, 3 if braid else 2, p)}
 
 
-def rrr_scan(nq, trials=20, seed=20260815, p=S.DEFAULT_PRIME,
+def rrr_scan(nq, trials=20, seed=S.DEFAULT_SEED, p=S.DEFAULT_PRIME,
              modular=False):
     """Braid identity over every boundary 6-tuple.
 
@@ -473,8 +473,8 @@ def rrr_scan(nq, trials=20, seed=20260815, p=S.DEFAULT_PRIME,
     return _ice_scan((1, 2, 3), nq, trials, seed, p, modular)
 
 
-def unitarity_scan(nq, trials=20, seed=20260815, p=S.DEFAULT_PRIME,
-                   modular=False):
+def unitarity_scan(nq, trials=20, seed=S.DEFAULT_SEED,
+                   p=S.DEFAULT_PRIME, modular=False):
     """Inversion over every boundary 4-tuple; symbolic for nq = 1 unless
     modular is set, modular otherwise."""
     return _ice_scan((1, 2), nq, trials, seed, p, modular)

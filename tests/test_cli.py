@@ -1,7 +1,9 @@
 """Front-end tests: flag parsing, exit codes, report formats, and
 agreement between the streamed reports and direct library calls."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -104,7 +106,12 @@ def test_train_suite_runs_one_transfer_per_system(capsys, monkeypatch):
 
 def test_usage_errors_exit_two(capsys):
     bad = (
-        ("verify", "rtt", "--nq", "2", "--n", "2"),  # override vs cover
+        ("ice", "partition", "--lambda", "1,0", "--nq", "2", "--n", "2"),  # override vs cover
+        # abbreviated flags; rtt has no --n, so --n would abbreviate --nq
+        ("verify", "rtt", "--nq", "2", "--n", "2"),
+        ("verify", "rrr", "--nq", "2", "--tri", "3"),
+        ("verify", "twist", "--form", "text"),
+        ("verify", "train", "--la", "1,0"),
         ("verify", "rrr", "--mode", "modular", "--seed", "7"),  # no prime
         ("verify", "rrr", "--mode", "symbolic", "--seed", "7"),  # stray seed
         ("verify", "rrr", "--nq", "2", "--mode", "symbolic"),  # nq > 1
@@ -140,6 +147,11 @@ def test_usage_errors_exit_two(capsys):
         ("ice", "partition", "--lambda", "2,-1,0", "--nq", "1"),  # no partition
         ("ice", "partition", "--lambda", "2,1,0", "--nq", "2",
          "--charges", "1,2"),  # two charges for three rows
+        ("ice", "partition", "--lambda", "2,2,0", "--columns", "4"),  # narrow grid
+        # only symbolic scans requested: seeded-mode flags have no reader
+        ("verify", "rrr", "--nq", "1", "--seed", "3", "--trials", "5"),
+        ("verify", "unitarity", "--nq", "1", "--seed", "3"),
+        ("verify", "unitarity", "--nq", "1", "--mode", "symbolic", "--trials", "3"),
     )
     for argv in bad:
         with pytest.raises(SystemExit) as err:
@@ -148,21 +160,37 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv, unused", [
+@pytest.mark.parametrize("argv, refused", [
     (("verify", "twist", "--nq", "1", "--lambda", "3,1", "--rank", "2", "--columns", "9"),
-     "--rank, --lambda, --columns"),
-    (("verify", "train", "--rank", "5", "--nq", "1"), "--rank"),
+     "--lambda 3,1 --rank 2 --columns 9"),
+    (("verify", "train", "--rank", "5", "--nq", "1"), "--rank 5"),
 ])
-def test_suites_refuse_flags_they_do_not_use(capsys, argv, unused):
+def test_suites_refuse_flags_they_do_not_use(capsys, argv, refused):
     with pytest.raises(SystemExit) as err:
         cli.main(list(argv))
     assert err.value.code == 2
-    assert capsys.readouterr().err.endswith("%s does not use %s\n" % (argv[1], unused))
+    assert capsys.readouterr().err.endswith(
+        "metaice: error: unrecognized arguments: %s\n" % refused)
 
 
-@pytest.mark.parametrize("error", [KeyError, TypeError, MemoryError])
+VERIFY_FLAGS = sorted(set().union(*cli.SUITE_FLAGS.values()))
+
+
+@pytest.mark.parametrize("suite, flag", [
+    (suite, flag) for suite, row in sorted(cli.SUITE_FLAGS.items())
+    for flag in VERIFY_FLAGS if flag not in row])
+def test_suite_parsers_take_only_their_row(capsys, suite, flag):
+    option = cli.FLAGS[flag][0]
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", suite, option, "1"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "unrecognized arguments: %s 1\n" % option)
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError, MemoryError, ValueError])
 def test_runner_errors_become_one_failing_record(capsys, monkeypatch, error):
-    def broken(cfg):
+    def broken(args):
         raise error("broken suite")
 
     monkeypatch.setitem(cli.SUITES, "twist", broken)
@@ -224,14 +252,36 @@ def test_vanished_denominator_keeps_the_other_cases(capsys, monkeypatch):
     assert vanished["lhs"]["error"].startswith("nq=2, trial 0 of seed 1:")
 
 
-def test_verification_failure_exits_one(capsys):
-    # grid narrower than the partition needs: a failing case, not a crash
-    code, out = run_cli(capsys, "ice", "partition", "--lambda", "2,2,0",
-                        "--columns", "4")
+def test_verification_failure_exits_one(capsys, monkeypatch):
+    def failing_rtt(nq):
+        return {"rows": (1, 2), "boundaries": 1, "inhabited": 1,
+                "failures": ["broken boundary"], "ok": False}
+
+    def failing_pair(ci, cj, params):
+        return {"ok": (ci, cj) != (1, 2)}
+
+    monkeypatch.setattr(cli.RV, "rtt_scan", failing_rtt)
+    monkeypatch.setattr(cli.MP, "prop71_check", failing_pair)
+    code, out = run_cli(capsys, "verify", "rtt", "--nq", "1")
     assert code == 1
     case = json.loads(out)[0]
     assert case["verdict"] == "fail"
-    assert "error" in case["lhs"]
+    assert case["rhs"] == {"failures": ["broken boundary"]}
+    # the cover sweep: every cover with n <= 4 at the given rank
+    code, out = run_cli(capsys, "verify", "prop71", "--rank", "3")
+    assert code == 1
+    cases = json.loads(out)
+    assert len(cases) == 60 and {case["params"]["r"] for case in cases} == {3}
+    assert [case["lhs"]["failures"] for case in cases
+            if case["verdict"] == "fail"] == [[[1, 2]]] * 58
+
+
+def test_suite_help_lists_only_its_flags(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "rtt", "--help"])
+    assert err.value.code == 0
+    flags = re.findall(r"--[a-z]+", capsys.readouterr().out)
+    assert set(flags) == {"--help", "--nq", "--format", "--timings"}
 
 
 # -- report behavior ----------------------------------------------------------
@@ -240,6 +290,36 @@ def test_reports_are_byte_identical(capsys):
     _, first = run_cli(capsys, "verify", "twist", "--nq", "1,2")
     _, second = run_cli(capsys, "verify", "twist", "--nq", "1,2")
     assert first == second
+
+
+# SHA-256 of the stdout of each default report and documented example
+PINNED_REPORTS = {
+    "verify appendix": "add8cfba36665e54177de26e8a4eb42a04bd647353c4d36f4ad243897365b603",
+    "verify rtt": "aefa3853b32339b459446234ae9243110bc09d41476410386be20c7dbee3cca4",
+    "verify rrr": "c0b53f3f5d96ae026f9713854cb6f50770cdace2337fa37549f74636c56aea17",
+    "verify unitarity": "9c77fc65594980e9ecc942f827cb01839788776f06989867f67772ce3ce7c727",
+    "verify twist": "1d1738ed619b1572fd0a5e92202ef617a0c0c1867bab2a2d0e76be4792c6c04d",
+    "verify prop71": "600d4447384b8f9cd9963990545f497c8b0470b49d9cd0a11c9088d4f80975a9",
+    "verify thm12": "1d44581c289eeefcdbe2cb9fc05c2f0e40cf64f5314078b9def9ea58987f1a0a",
+    "verify thm82 --lambda 2,2,0 --n 2 --b 1 --c 1":
+        "0ea78857fe171ae4b87c324ae50d251e9020bd55e6d6def3f4908314f066f602",
+    "verify train": "ce71e3c4512512d7cf573609018d4ecb7e01f78c16d48638b19f6d64291b1131",
+    "ice enumerate --lambda 1,0 --nq 2":
+        "9712ff2a6c768128ea53556b80d6f41a7e534eb1825a1d45a902a7c9dbb7731f",
+    "ice partition --lambda 2,2,0 --columns 5 --n 2 --b 1 --c 1 --charges 1,1,2":
+        "68d293bfe98166da750b72170f595ea3d985715fda849a446906a559e3bd2cd4",
+    "whittaker --lambda 2,2,0 --gamma 4,3,1 --n 2 --b 1 --c 1":
+        "8e715a375792b7e6e282388099fffe18b9d940f89895a6d101cecd022eca594a",
+}
+
+
+def test_default_reports_are_pinned(capsys):
+    got = {}
+    for argv in PINNED_REPORTS:
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+        got[argv] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_REPORTS
 
 
 def test_seeded_modular_reports_are_reproducible(capsys):
