@@ -11,6 +11,7 @@ is 0 when every case passes, 1 when any case fails, 2 on usage errors.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import time
@@ -341,7 +342,8 @@ SUITE_FLAGS = {
 
 def _command(subparsers, name, suite, run, flags, required=(), **kw):
     """One subparser that takes exactly `flags`, --format and --timings;
-    its Namespace carries the report's suite name and the runner."""
+    its Namespace carries the report's suite name and the runner (None
+    for a verification suite, whose runner main reads from SUITES)."""
     parser = subparsers.add_parser(name, allow_abbrev=False, **kw)
     for dest in flags + ("fmt", "timings"):
         option, spec = FLAGS[dest]
@@ -362,7 +364,7 @@ def build_parser():
                             help="run a verification suite")
     suites = verify.add_subparsers(dest="suite", required=True)
     for suite in sorted(SUITES):
-        _command(suites, suite, suite, SUITES[suite], SUITE_FLAGS[suite])
+        _command(suites, suite, suite, None, SUITE_FLAGS[suite])
 
     ice = top.add_parser("ice", allow_abbrev=False, help="grid-state data commands")
     actions = ice.add_subparsers(dest="action", required=True)
@@ -433,12 +435,19 @@ def _config_from_args(parser, args):
         parser.error(str(exc))
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     _config_from_args(parser, args)
+    run = args.run or SUITES[args.suite]
     try:
-        cases = args.run(args)
+        cases = run(args)
     except (AssertionError, KeyError, MemoryError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         # any error that escapes a case becomes one failing record

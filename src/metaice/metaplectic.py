@@ -12,6 +12,7 @@ crossing weights from `rvertex` once the right z-monomials are attached.
 """
 
 import math
+from functools import lru_cache
 from itertools import product
 
 from . import rvertex as RV
@@ -252,6 +253,17 @@ def tau(mu, i, params):
     if q_val == 0 and pairing != 0:
         raise ValueError("pairing value nonzero while Q vanishes")
     nq = params.nq
+    tau1, tau2 = _tau_fracs(d % nq, i, nq)
+    target2 = list(mu)
+    target2[i - 1], target2[i] = mu[i] + 1, mu[i - 1] - 1
+    return TauPair(tuple(mu), i, nq, tau1, tau2, tuple(target2))
+
+
+@lru_cache(maxsize=256)
+def _tau_fracs(d, i, nq):
+    """tau1 and tau2 at pairing difference d, which they see only mod
+    nq.  Cached, holding at most 256 pairs (least recently used dropped
+    first)."""
     one = S.one(nq)
     v = S.v_pow(1, nq)
     big_z = S.z_pow(i, nq, nq) * S.z_pow(i + 1, -nq, nq)
@@ -260,9 +272,7 @@ def tau(mu, i, params):
     tau1 = S.Frac((one - v) * S.z_pow(i, k, nq) * S.z_pow(i + 1, -k, nq), den)
     tau2 = S.Frac(S.gauss(1 - d, nq) * S.z_pow(i, -1, nq)
                   * S.z_pow(i + 1, 1, nq) * (one - big_z), den)
-    target2 = list(mu)
-    target2[i - 1], target2[i] = mu[i] + 1, mu[i - 1] - 1
-    return TauPair(tuple(mu), i, nq, tau1, tau2, tuple(target2))
+    return tau1, tau2
 
 
 def prop71_check(ci, cj, params):

@@ -13,6 +13,7 @@ table here and for the quantum-group matrices of qgroup, are entries of
 sparse products on the pair basis, all formed by check_crossings.
 """
 
+from functools import lru_cache
 from itertools import product
 import math
 import random
@@ -54,7 +55,10 @@ def grid_vertex_weight(north, south, west, east, row, nq):
     return vertex_weight(north, south, ws, es, ec if es == 1 else 0, row, nq)
 
 
+# r_weight results by argument tuple; emptied when it reaches _R_MEMO_MAX
+# entries, so it never holds more than that
 _R_MEMO = {}
+_R_MEMO_MAX = 1 << 14
 
 
 def r_denominator(rows, nq):
@@ -74,6 +78,8 @@ def r_weight(nw, sw, ne, se, rows, nq):
     hit = _R_MEMO.get(key)
     if hit is not None:
         return hit
+    if len(_R_MEMO) >= _R_MEMO_MAX:
+        _R_MEMO.clear()
     for spin, charge in (nw, sw, ne, se):
         if (spin == 1) != (0 < charge <= nq):
             val = S.Frac(S.zero(nq), S.one(nq))
@@ -118,6 +124,47 @@ def r_weight(nw, sw, ne, se, rows, nq):
 
 # -- two-row exchange identity ---------------------------------------------
 
+class CrossingTable:
+    """The nonzero crossing weights and decorated grid vertices at one
+    strand-row pair, as check_rtt walks them.
+
+    den is 1 - v (z_i/z_j)^nq.  by_in maps the input legs (NW, SW) to
+    (NE, SE, numerator) triples, NE outer and SE inner in
+    decorated_values order; by_out maps the output legs (NE, SE) to
+    (NW, SW, numerator) triples, NW outer and SW inner.  vertex[row]
+    maps (north, south, west, east) to the nonzero grid_vertex_weight of
+    a vertex in that row, north and south bare spins and west and east
+    decorated ones.  A key absent from a map has weight zero."""
+
+    __slots__ = ["den", "by_in", "by_out", "vertex"]
+
+    def __init__(self, rows, nq):
+        dv = decorated_values(nq)
+        self.den = r_denominator(rows, nq)
+        self.by_in = {}
+        self.by_out = {}
+        for nw, sw, ne, se in product(dv, repeat=4):
+            w = r_weight(nw, sw, ne, se, rows, nq)
+            if not w.is_zero():
+                self.by_in.setdefault((nw, sw), []).append((ne, se, w.num))
+                self.by_out.setdefault((ne, se), []).append((nw, sw, w.num))
+        self.vertex = {}
+        for row in rows:
+            weights = self.vertex[row] = {}
+            for north, south, west, east in product((1, -1), (1, -1), dv, dv):
+                w = grid_vertex_weight(north, south, west, east, row, nq)
+                if not w.is_zero():
+                    weights[(north, south, west, east)] = w
+
+
+@lru_cache(maxsize=16)
+def crossing_table(rows, nq):
+    """The CrossingTable at strand rows (i, j) and modulus nq, built on
+    first use from r_weight and grid_vertex_weight.  Cached, holding at
+    most 16 tables (least recently used dropped first)."""
+    return CrossingTable(rows, nq)
+
+
 def check_rtt(boundary, nq, rows=(1, 2)):
     """Exchange identity for one boundary condition.
 
@@ -127,39 +174,36 @@ def check_rtt(boundary, nq, rows=(1, 2)):
     side the crossing comes first (NW = tau, SW = sigma) and its SE leg
     feeds the row-i vertex; on the right side the rows come first and the
     crossing receives NE = theta, SE = rho.  Returns the per-state weight
-    tables keyed by internal edges and the two side sums."""
+    tables keyed by internal edges, each entry over the common
+    denominator 1 - v (z_i/z_j)^nq, and the two side sums.  Only the
+    nonzero crossings of crossing_table(rows, nq) are visited."""
     sigma, tau, beta, theta, rho, alpha = boundary
     i, j = rows
+    table = crossing_table(rows, nq)
+    den = table.den
+    row_i, row_j = table.vertex[i], table.vertex[j]
     lhs = {}
-    for nu in decorated_values(nq):
-        for mu in decorated_values(nq):
-            rw = r_weight(tau, sigma, nu, mu, rows, nq)
-            if rw.is_zero():
+    for nu, mu, num in table.by_in.get((tau, sigma), ()):
+        for gam in (1, -1):
+            wj = row_j.get((beta, gam, nu, theta))
+            if wj is None:
                 continue
-            for gam in (1, -1):
-                wj = grid_vertex_weight(beta, gam, nu, theta, j, nq)
-                if wj.is_zero():
-                    continue
-                wi = grid_vertex_weight(gam, alpha, mu, rho, i, nq)
-                if wi.is_zero():
-                    continue
-                lhs[(nu, mu, gam)] = rw * wj * wi
+            wi = row_i.get((gam, alpha, mu, rho))
+            if wi is None:
+                continue
+            lhs[(nu, mu, gam)] = S.Frac(num * (wj * wi), den)
     rhs = {}
-    for phi in decorated_values(nq):
-        for psi in decorated_values(nq):
-            rw = r_weight(phi, psi, theta, rho, rows, nq)
-            if rw.is_zero():
+    for phi, psi, num in table.by_out.get((theta, rho), ()):
+        for dlt in (1, -1):
+            wi = row_i.get((beta, dlt, tau, phi))
+            if wi is None:
                 continue
-            for dlt in (1, -1):
-                wi = grid_vertex_weight(beta, dlt, tau, phi, i, nq)
-                if wi.is_zero():
-                    continue
-                wj = grid_vertex_weight(dlt, alpha, sigma, psi, j, nq)
-                if wj.is_zero():
-                    continue
-                rhs[(phi, psi, dlt)] = rw * wi * wj
-    lhs_sum = _table_sum(lhs, rows, nq)
-    rhs_sum = _table_sum(rhs, rows, nq)
+            wj = row_j.get((dlt, alpha, sigma, psi))
+            if wj is None:
+                continue
+            rhs[(phi, psi, dlt)] = S.Frac(num * (wj * wi), den)
+    lhs_sum = S.Frac(sum((w.num for w in lhs.values()), S.zero(nq)), den)
+    rhs_sum = S.Frac(sum((w.num for w in rhs.values()), S.zero(nq)), den)
     return {
         "boundary": boundary,
         "rows": rows,
@@ -170,13 +214,6 @@ def check_rtt(boundary, nq, rows=(1, 2)):
         "rhs_sum": rhs_sum,
         "equal": S.frac_eq(lhs_sum, rhs_sum),
     }
-
-
-def _table_sum(table, rows, nq):
-    total = S.Frac(S.zero(nq), r_denominator(rows, nq))
-    for key in sorted(table):
-        total = total + table[key]
-    return total
 
 
 def rtt_scan(nq, rows=(1, 2)):
@@ -419,14 +456,13 @@ def check_unitarity(alpha, beta, gamma, dlt, rows, nq):
 
 def _sz_log2_bound(nq, trials, factors, p=S.DEFAULT_PRIME):
     """log2 of the Schwartz-Zippel failure bound for `trials` independent
-    points, with `factors` crossing weights multiplied per term."""
-    deg = 0
-    for rows in ((1, 2), (1, 3), (2, 3), (2, 1)):
-        dv = decorated_values(nq)
-        for nw, sw, ne, se in product(dv, dv, dv, dv):
-            w = r_weight(nw, sw, ne, se, rows, nq)
-            if not w.is_zero():
-                deg = max(deg, w.degree_hint())
+    points, with `factors` crossing weights multiplied per term.
+
+    The degree of a crossing weight at two distinct rows is at most
+    4 nq + 8, its largest Frac.degree_hint: the numerator and the
+    denominator 1 - vZ each have degree at most 4 + 2 nq, reached by the
+    term vZ (v counts 4, in quarter steps; Z = (z_i/z_j)^nq counts 2 nq)."""
+    deg = 4 * nq + 8
     # cross-multiplied identity degree: numerators and denominators of
     # `factors` fractions on each side
     total = 2 * factors * deg

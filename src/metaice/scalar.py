@@ -450,6 +450,10 @@ class Frac:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int) or (isinstance(other, Scalar)
+                                      and other.nq in (None, self.den.nq)):
+            # other's denominator is one: keep ours
+            return Frac(self.num * other, self.den)
         other = Frac.lift(other)
         return Frac(self.num * other.num, self.den * other.den)
 
@@ -551,9 +555,16 @@ class ModAssignment:
     self-paired index (even modulus) gets sign * u^2 whose square is v.
     Half powers of g(0) or of the self-paired symbol have no consistent
     value and raise.
+
+    A point is fixed once made: it remembers the residue of each monomial
+    key it has evaluated (monomials) and the inverse of each nonzero
+    denominator residue (inverses), at most MEMO_MAX entries each; past
+    that, values are computed without being stored.
     """
 
-    __slots__ = ["p", "nq", "u", "z", "ghalf", "gmid"]
+    __slots__ = ["p", "nq", "u", "z", "ghalf", "gmid", "monomials", "inverses"]
+
+    MEMO_MAX = 1 << 16
 
     def __init__(self, p, nq, u, z, ghalf, gmid):
         self.p = p
@@ -562,11 +573,46 @@ class ModAssignment:
         self.z = z
         self.ghalf = ghalf
         self.gmid = gmid
+        self.monomials = {}
+        self.inverses = {}
 
     def z_value(self, i):
         if i not in self.z:
             raise KeyError("no value assigned for z%d" % i)
         return self.z[i]
+
+    def monomial(self, key):
+        """Residue of the monomial (vq, zex, gex) with coefficient 1."""
+        val = self.monomials.get(key)
+        if val is not None:
+            return val
+        p = self.p
+        vq, zex, gex = key
+        val = pow(self.u, vq % (p - 1), p)
+        for i, e in zex:
+            val = val * pow(self.z_value(i), e % (p - 1), p) % p
+        for a, e2 in gex:
+            if 2 * a == self.nq:
+                if e2 % 2:
+                    raise ValueError("half power of the self-paired gauss symbol")
+                val = val * pow(self.gmid, (e2 // 2) % (p - 1), p) % p
+            else:
+                val = val * pow(self.ghalf[a], e2 % (p - 1), p) % p
+        if len(self.monomials) < self.MEMO_MAX:
+            self.monomials[key] = val
+        return val
+
+    def inverse(self, residue):
+        """Inverse of a residue; ZeroDivisionError when it is zero."""
+        inv = self.inverses.get(residue)
+        if inv is not None:
+            return inv
+        if residue == 0:
+            raise ZeroDivisionError("denominator vanished at the sample point")
+        inv = pow(residue, self.p - 2, self.p)
+        if len(self.inverses) < self.MEMO_MAX:
+            self.inverses[residue] = inv
+        return inv
 
 
 def make_assignment(nq, z_indices, seed, p=DEFAULT_PRIME):
@@ -592,31 +638,13 @@ def make_assignment(nq, z_indices, seed, p=DEFAULT_PRIME):
 
 def eval_scalar_mod(x, asg):
     """Evaluate a Scalar at a modular assignment point."""
-    p = asg.p
     if x.nq is not None and asg.nq is not None and x.nq != asg.nq:
         raise ValueError("assignment modulus mismatch")
-    total = 0
-    for (vq, zex, gex), c in x.terms.items():
-        val = c % p
-        if vq:
-            val = val * pow(asg.u, vq % (p - 1), p) % p
-        for i, e in zex:
-            val = val * pow(asg.z_value(i), e % (p - 1), p) % p
-        for a, e2 in gex:
-            if 2 * a == asg.nq:
-                if e2 % 2:
-                    raise ValueError("half power of the self-paired gauss symbol")
-                val = val * pow(asg.gmid, (e2 // 2) % (p - 1), p) % p
-            else:
-                val = val * pow(asg.ghalf[a], e2 % (p - 1), p) % p
-        total = (total + val) % p
-    return total
+    monomial = asg.monomial
+    return sum(c * monomial(key) for key, c in x.terms.items()) % asg.p
 
 
 def eval_frac_mod(x, asg):
     x = Frac.lift(x)
     num = eval_scalar_mod(x.num, asg)
-    den = eval_scalar_mod(x.den, asg)
-    if den == 0:
-        raise ZeroDivisionError("denominator vanished at the sample point")
-    return num * pow(den, asg.p - 2, asg.p) % asg.p
+    return num * asg.inverse(eval_scalar_mod(x.den, asg)) % asg.p

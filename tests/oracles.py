@@ -220,6 +220,55 @@ def row_completions_by_vertices(north, bottom_row, nq):
     return results
 
 
+# -- dense two-row exchange tables -------------------------------------------
+
+def rtt_tables_dense(boundary, nq, rows, R, S):
+    """The exchange identity at one boundary by the dense loop: every
+    (nq + 1)^2 pair of internal crossing legs on each side, each weight
+    looked up through R.r_weight and R.grid_vertex_weight, and the side
+    sums taken in sorted key order from 0 over 1 - v (z_i/z_j)^nq.
+    Returns the record R.check_rtt returns."""
+    sigma, tau, beta, theta, rho, alpha = boundary
+    i, j = rows
+    lhs = {}
+    for nu in R.decorated_values(nq):
+        for mu in R.decorated_values(nq):
+            rw = R.r_weight(tau, sigma, nu, mu, rows, nq)
+            if rw.is_zero():
+                continue
+            for gam in (1, -1):
+                wj = R.grid_vertex_weight(beta, gam, nu, theta, j, nq)
+                if wj.is_zero():
+                    continue
+                wi = R.grid_vertex_weight(gam, alpha, mu, rho, i, nq)
+                if wi.is_zero():
+                    continue
+                lhs[(nu, mu, gam)] = rw * wj * wi
+    rhs = {}
+    for phi in R.decorated_values(nq):
+        for psi in R.decorated_values(nq):
+            rw = R.r_weight(phi, psi, theta, rho, rows, nq)
+            if rw.is_zero():
+                continue
+            for dlt in (1, -1):
+                wi = R.grid_vertex_weight(beta, dlt, tau, phi, i, nq)
+                if wi.is_zero():
+                    continue
+                wj = R.grid_vertex_weight(dlt, alpha, sigma, psi, j, nq)
+                if wj.is_zero():
+                    continue
+                rhs[(phi, psi, dlt)] = rw * wi * wj
+    sums = []
+    for table in (lhs, rhs):
+        total = S.Frac(S.zero(nq), R.r_denominator(rows, nq))
+        for key in sorted(table):
+            total = total + table[key]
+        sums.append(total)
+    return {"boundary": boundary, "rows": rows, "nq": nq, "lhs": lhs,
+            "rhs": rhs, "lhs_sum": sums[0], "rhs_sum": sums[1],
+            "equal": S.frac_eq(*sums)}
+
+
 # -- dense per-boundary braid and inversion sums ---------------------------
 
 def _decorated(nq):

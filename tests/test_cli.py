@@ -201,6 +201,17 @@ def test_runner_errors_become_one_failing_record(capsys, monkeypatch, error):
                                 "rhs": None, "verdict": "fail", "elapsed": None}]
 
 
+def test_parser_is_built_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(3):
+        code, _ = run_cli(capsys, "verify", "twist", "--nq", "1")
+        assert code == 0
+    assert builds == [1]
+
+
 def test_zero_seed_and_trial_count_reach_the_scan(capsys, monkeypatch):
     calls = []
 

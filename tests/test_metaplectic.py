@@ -230,6 +230,28 @@ def test_tau_rows_follow_index():
     assert S.frac_eq(t.tau1, S.Frac(one - v, one - v * big_z))
 
 
+def test_tau_depends_on_the_difference_mod_nq_only():
+    # every coweight against the formula at its own difference d, with
+    # the exact terms of numerator and denominator
+    for n, b, r in ((1, 0, 2), (2, 1, 3), (3, 1, 2), (4, 2, 3), (4, 1, 2)):
+        params = MP.CoverParams(n, b, 1, r)
+        nq = params.nq
+        one, v = S.one(nq), S.v_pow(1, nq)
+        for i in range(1, r):
+            big_z = S.z_pow(i, nq, nq) * S.z_pow(i + 1, -nq, nq)
+            ratio = S.z_pow(i, 1, nq) * S.z_pow(i + 1, -1, nq)
+            for mu in product(range(-nq - 1, nq + 2), repeat=r):
+                d = mu[i - 1] - mu[i]
+                t = MP.tau(mu, i, params)
+                k = (-d) % nq
+                tau1 = (one - v) * S.z_pow(i, k, nq) * S.z_pow(i + 1, -k, nq)
+                tau2 = S.gauss(1 - d, nq) * ratio.inverse() * (one - big_z)
+                assert t.tau1.num == tau1 and t.tau2.num == tau2, (params, mu, i)
+                assert t.tau1.den == t.tau2.den == one - v * big_z
+    info = MP._tau_fracs.cache_info()
+    assert info.currsize <= info.maxsize == 256
+
+
 # -- residue identities -------------------------------------------------------
 
 def test_prop71_equal_branch():

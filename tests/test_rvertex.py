@@ -2,6 +2,7 @@
 identities, the frozen boundary tables, and the spectral-swap equation."""
 
 import itertools
+import math
 
 import pytest
 
@@ -158,6 +159,68 @@ def test_rtt_exhaustive_small_moduli():
         assert rep["inhabited"] > 0
 
 
+def _same_frac(x, y):
+    return x.num == y.num and x.den == y.den
+
+
+@pytest.mark.parametrize("nq", [1, 2, 3, 4])
+def test_rtt_matches_the_dense_oracle(nq):
+    # every boundary, malformed legs included: same keys in the same
+    # order, the same numerators and denominators, the same verdict
+    legs = R.decorated_values(nq) + [(1, 0), (1, nq + 1), (-1, 1)]
+    rows = [(1, 2)] + ([(2, 1), (3, 5)] if nq == 2 else [])
+    for sigma, tau, theta, rho in itertools.product(legs, repeat=4):
+        for beta, alpha, r in itertools.product((1, -1), (1, -1), rows):
+            bnd = (sigma, tau, beta, theta, rho, alpha)
+            got = R.check_rtt(bnd, nq, r)
+            want = oracles.rtt_tables_dense(bnd, nq, r, R, S)
+            for side in ("lhs", "rhs"):
+                assert list(got[side]) == list(want[side]), (bnd, side)
+                for key, frac in got[side].items():
+                    assert _same_frac(frac, want[side][key]), (bnd, key)
+                assert _same_frac(got[side + "_sum"], want[side + "_sum"]), bnd
+            assert got["equal"] == want["equal"], bnd
+
+
+def test_rtt_perturbed_weight_fails_like_the_oracle(monkeypatch):
+    plain = R.r_weight
+
+    def bent(nw, sw, ne, se, rows, nq):
+        w = plain(nw, sw, ne, se, rows, nq)
+        return w * 2 if nw == sw == ne == se == (1, 1) else w
+
+    monkeypatch.setattr(R, "r_weight", bent)
+    R.crossing_table.cache_clear()
+    try:
+        nq = 2
+        dv = R.decorated_values(nq)
+        failing = [bnd for bnd in itertools.product(dv, dv, (1, -1), dv, dv, (1, -1))
+                   if not oracles.rtt_tables_dense(bnd, nq, (1, 2), R, S)["equal"]]
+        assert failing
+        rep = R.rtt_scan(nq)
+        assert not rep["ok"]
+        assert sorted(rep["failures"]) == sorted(failing)
+    finally:
+        R.crossing_table.cache_clear()
+
+
+def test_caches_stay_within_their_bounds(monkeypatch):
+    monkeypatch.setattr(R, "_R_MEMO_MAX", 500)
+    R._R_MEMO.clear()
+    R.crossing_table.cache_clear()
+    for _ in range(2):
+        for nq in range(1, 7):
+            assert R.rtt_scan(nq)["ok"]
+            assert R.appendix_regression(nq)["ok"]
+            assert len(R._R_MEMO) <= 500
+    assert R.crossing_table.cache_info().currsize == 6
+    # more (rows, nq) pairs than the table cache holds
+    for i in range(1, 20):
+        R.check_rtt((R.MINUS,) * 2 + (1, R.MINUS, R.MINUS, 1), 1, (i, i + 1))
+    info = R.crossing_table.cache_info()
+    assert info.currsize == info.maxsize == 16
+
+
 # -- frozen boundary tables ----------------------------------------------------
 
 @pytest.mark.parametrize("nq", [1, 2, 3, 4])
@@ -212,6 +275,20 @@ def test_rrr_modular_scan():
         rep = R.rrr_scan(nq, trials=2, seed=7)
         assert rep["ok"] and rep["mode"] == "modular"
         assert rep["sz_log2_bound"] < -40
+
+
+def test_sz_degree_is_the_largest_crossing_degree():
+    # the closed form 4 nq + 8 against the crossing table itself
+    p = S.DEFAULT_PRIME
+    for nq in range(1, 8):
+        dv = R.decorated_values(nq)
+        deg = max(w.degree_hint()
+                  for rows in ((1, 2), (1, 3), (2, 3), (2, 1))
+                  for legs in itertools.product(dv, repeat=4)
+                  if not (w := R.r_weight(*legs, rows, nq)).is_zero())
+        for trials, factors in ((20, 2), (20, 3), (1, 1)):
+            assert R._sz_log2_bound(nq, trials, factors, p) == \
+                trials * math.log2(2 * factors * deg / p)
 
 
 def test_unitarity_symbolic_exhaustive_nq1():

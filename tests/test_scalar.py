@@ -254,6 +254,23 @@ def test_frac_same_denominator_fast_path():
     assert frac_eq(x, Frac(S.one() + v, d))
 
 
+def test_frac_times_scalar_keeps_the_denominator():
+    nq = 3
+    x = Frac(S.gauss(1, nq), S.one(nq) - S.v_pow(1, nq))
+    y = S.z_pow(1, 2, nq) + S.gauss(2, nq)
+    for other in (y, 5, S.v_pow(1)):
+        prod = x * other
+        assert prod.den is x.den
+        full = Frac(x.num * Frac.lift(other).num, x.den * Frac.lift(other).den)
+        assert prod.num == full.num and prod.den == full.den
+    assert (y * x).den is x.den
+    # a denominator with no modulus takes the Scalar's, as den * 1 did
+    plain = Frac(S.one(), S.one() - S.v_pow(1))
+    assert (plain * y).den.nq == nq
+    with pytest.raises(ValueError):
+        Frac(S.one(2), S.one(2) - S.v_pow(1, 2)) * y
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         Frac(S.one(), S.zero())
@@ -297,6 +314,75 @@ def test_z_split_groups_by_monomial():
 def test_modulus_mismatch_rejected():
     with pytest.raises(ValueError):
         S.gauss(1, 2) * S.gauss(1, 3)
+
+
+def _residue(x, asg):
+    """x at a point, term by term with no memo; Gauss parts by the raw oracle."""
+    p = asg.p
+    total = 0
+    for (vq, zex, gex), c in x.terms.items():
+        val = c * pow(asg.u, vq % (p - 1), p) * eval_gauss_raw(dict(gex), asg)
+        for i, e in zex:
+            val *= pow(asg.z[i], e % (p - 1), p)
+        total += val
+    return total % p
+
+
+def test_a_reused_point_gives_the_residues_of_a_fresh_one():
+    rng = random.Random(17)
+    for nq in (1, 2, 3, 4):
+        shared = make_assignment(nq, [1, 2], seed=nq)
+        # monomials that differ only in their Gauss part come first
+        values = [S.gauss(a, nq) * S.z_pow(1, 1, nq) for a in range(1, nq)]
+        values += [random_scalar(rng, nq) for _ in range(40)]
+        for x in values:
+            y = Frac(x, random_scalar(rng, nq) + S.integer(3, nq))
+            fresh = make_assignment(nq, [1, 2], seed=nq)
+            try:
+                want = eval_scalar_mod(x, fresh), eval_frac_mod(y, fresh)
+            except (ValueError, ZeroDivisionError) as exc:
+                with pytest.raises(type(exc)):
+                    eval_scalar_mod(x, shared), eval_frac_mod(y, shared)
+                continue
+            assert want[0] == _residue(x, fresh)
+            assert want[1] == _residue(y.num, fresh) * pow(
+                _residue(y.den, fresh), fresh.p - 2, fresh.p) % fresh.p
+            assert (eval_scalar_mod(x, shared), eval_frac_mod(y, shared)) == want
+        assert shared.monomials and shared.inverses
+
+
+def test_vanished_denominator_raises_after_the_memo_fills():
+    nq = 3
+    asg = make_assignment(nq, [1, 2], seed=5)
+    rng = random.Random(8)
+    for _ in range(20):
+        eval_frac_mod(Frac(random_scalar(rng, nq), S.z_pow(1, 1, nq) + S.integer(2, nq)), asg)
+    assert asg.monomials and asg.inverses
+    # z1 - (its value) vanishes at this point
+    dead = Frac(S.one(nq), S.z_pow(1, 1, nq) - S.integer(asg.z[1], nq))
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            eval_frac_mod(dead, asg)
+        assert 0 not in asg.inverses
+    with pytest.raises(ZeroDivisionError):
+        asg.inverse(0)
+    assert 0 not in asg.inverses
+
+
+def test_point_memo_stops_growing_at_its_bound(monkeypatch):
+    monkeypatch.setattr(S.ModAssignment, "MEMO_MAX", 4)
+    rng = random.Random(21)
+    asg = make_assignment(2, [1, 2], seed=9)
+    for _ in range(30):
+        x = random_scalar(rng, 2, nterms=5)
+        y = Frac(S.one(2), x + S.integer(1, 2))
+        fresh = make_assignment(2, [1, 2], seed=9)
+        try:
+            want = eval_scalar_mod(x, fresh), eval_frac_mod(y, fresh)
+        except ValueError:
+            continue
+        assert (eval_scalar_mod(x, asg), eval_frac_mod(y, asg)) == want
+    assert len(asg.monomials) == len(asg.inverses) == 4
 
 
 def test_half_power_of_self_paired_symbol_has_no_value():
