@@ -29,11 +29,12 @@ SZ_LOG2_MAX = -40.0
 
 
 def cover(args):
-    """CoverParams from the n/b/c flags; rank defaults to the partition
-    length when one was given."""
-    rank = args.rank
-    if rank is None:
-        rank = 2 if args.lam is None else len(args.lam)
+    """CoverParams from the n/b/c flags, at the rank len(--lambda) when the
+    command takes a partition, else --rank (2 by default)."""
+    if args.lam is not None:
+        rank = len(args.lam)
+    else:
+        rank = 2 if args.rank is None else args.rank
     return MP.CoverParams(args.n, args.b or 0, args.c or 0, rank)
 
 
@@ -218,8 +219,7 @@ def _suite_train(args):
 def _grid(args):
     """The ice commands' system, modulus and report params."""
     nq = modulus(args)
-    system = L.boundary_from_partition(args.lam, args.rank, args.columns, nq,
-                                       args.charges)
+    system = L.boundary_from_partition(args.lam, None, args.columns, nq, args.charges)
     params = {"lambda": list(args.lam), "N": system.N, "nq": nq,
               "charges": list(args.charges) if args.charges else None}
     return system, nq, params
@@ -322,7 +322,7 @@ FLAGS = {
     "timings": ("--timings", {"action": "store_true",
                               "help": "fill per-case wall times (breaks byte-identity)"}),
 }
-COVER = ("n", "b", "c", "rank")
+COVER = ("n", "b", "c")
 SEEDED = ("mode", "prime", "seed", "trials")
 
 # the flags each verification suite reads; every command also takes
@@ -333,8 +333,8 @@ SUITE_FLAGS = {
     "twist": ("nq",),
     "rrr": ("nq",) + SEEDED,
     "unitarity": ("nq",) + SEEDED,
-    "prop71": COVER,
-    "thm12": COVER,
+    "prop71": COVER + ("rank",),
+    "thm12": COVER + ("rank",),
     "thm82": ("lam",) + COVER + ("columns",),
     "train": ("lam", "nq"),
 }
@@ -389,8 +389,8 @@ def _config_from_args(parser, args):
         parser.error("--nq entries must be positive")
     if args.suite.startswith("ice-") and args.nq is not None and len(args.nq) > 1:
         parser.error("ice commands take one --nq entry")
-    if args.rank is not None and args.rank < (2 if args.suite in ("prop71", "thm12") else 1):
-        parser.error("--rank must be at least 2 for prop71 and thm12, and 1 elsewhere")
+    if args.rank is not None and args.rank < 2:
+        parser.error("--rank must be at least 2")
     if args.mode == "modular" and (args.prime is None or args.seed is None):
         parser.error("--mode modular requires --prime and --seed")
     if args.prime is not None and not (args.prime < S.PRIME_TEST_BOUND
@@ -429,8 +429,8 @@ def _config_from_args(parser, args):
     try:
         nq = modulus(args)   # builds the cover when one is given
         if args.lam is not None:
-            # partition and --rank, grid width, ice charges
-            L.System(args.lam, args.rank, args.columns, nq, args.charges)
+            # partition, grid width, ice charges
+            L.System(args.lam, None, args.columns, nq, args.charges)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -244,16 +244,22 @@ def root_data(node, lam):
     slack < -1 is not a member."""
     r = node.r
     lam = _check_partition(lam, r)
+    m = node.m
+    tail = {}  # m summed over (i, k), k >= j
+    for i in range(1, r):
+        acc = 0
+        for k in range(r, i, -1):
+            acc += m[(i, k)]
+            tail[(i, k)] = acc
+    col = {}  # m summed over (k, j), k <= i
     out = {}
     for (i, j) in _root_order(r):
-        col = sum(node.m[(k, j)] for k in range(1, i + 1))
-        diff = lam[r - i - 1] - lam[r - i]
-        upper = sum(node.m[(i + 1, k)] for k in range(j + 1, r + 1)) if i + 1 < r else 0
-        tail = sum(node.m[(i, k)] for k in range(j, r + 1))
-        slack = diff + upper - tail
+        col[(i, j)] = col.get((i - 1, j), 0) + m[(i, j)]
+        # the bound lam_{r-i} - lam_{r-i+1} plus the tail of row i + 1 past column j
+        slack = lam[r - i - 1] - lam[r - i] + tail.get((i + 1, j + 1), 0) - tail[(i, j)]
         if slack < -1:
             raise ValueError("membership bound fails at root %r" % ((i, j),))
-        out[(i, j)] = (col, slack, Decoration(node.m[(i, j)] == 0, slack == -1))
+        out[(i, j)] = (col[(i, j)], slack, Decoration(m[(i, j)] == 0, slack == -1))
     return out
 
 
@@ -314,14 +320,14 @@ def coset_piece(I, gamma, lam, cosets):
     if len(gamma) != r:
         raise ValueError("gamma must have %d entries" % r)
     w0lam = tuple(reversed(lam))
-    keep = {}
-    for key, coeff in I.terms.items():
-        vec = _z_vector(key[1], r)
+    keep = []
+    for (vq, zex, gex), coeff in I.sparse_terms():
+        vec = _z_vector(zex, r)
         if sum(vec) != 0:
             raise ValueError("monomial exponent %r has nonzero sum" % (vec,))
         if cosets.contains([vec[t] - gamma[t] + w0lam[t] for t in range(r)]):
-            keep[key] = coeff
-    return S.Scalar(keep, I.nq)
+            keep.append(((vq, zex, gex), coeff))
+    return S.Scalar.from_sparse(keep, I.nq)
 
 
 def node_to_gt(node, lam):
@@ -494,7 +500,7 @@ def verify_thm82(lam, r, N, params):
         if piece.is_zero():
             skipped += 1
             continue
-        support = sorted(_z_vector(key[1], r) for key in piece.terms)
+        support = sorted(_z_vector(key[1], r) for key, _ in piece.sparse_terms())
         base = support[0]
         for vec in support:
             if any((vec[t] - base[t]) % nq for t in range(r)):

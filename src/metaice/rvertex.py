@@ -34,18 +34,24 @@ def decorated_values(nq):
     return [MINUS] + [(1, c) for c in range(1, nq + 1)]
 
 
+def _decorated(leg, nq):
+    """Whether leg is one of decorated_values(nq): MINUS or (1, c) with
+    0 < c <= nq."""
+    return leg == MINUS or (leg[0] == 1 and 0 < leg[1] <= nq)
+
+
 def grid_vertex_weight(north, south, west, east, row, nq):
     """Weight of a grid vertex whose horizontal edges are decorated.
 
     north and south are bare spins, west and east are (spin, charge)
-    pairs.  Returns zero whenever the decoration is malformed, the spin
-    pattern is not one of the six vertex kinds, or the charges fail the
-    counting rule (west charge = east charge + 1 on a + west edge, and a
-    - edge only carries charge 0 mod nq)."""
+    pairs.  Returns zero whenever a horizontal edge is not decorated
+    (_decorated), the spin pattern is not one of the six vertex kinds, or
+    the charges fail the counting rule (west charge = east charge + 1 on a
+    + west edge, and a - edge only carries charge 0 mod nq)."""
+    if not (_decorated(west, nq) and _decorated(east, nq)):
+        return S.zero(nq)
     ws, wc = west
     es, ec = east
-    if (ws == 1) != (0 < wc <= nq) or (es == 1) != (0 < ec <= nq):
-        return S.zero(nq)
     east_res = ec % nq if es == 1 else 0
     if ws == 1:
         if wc != reduce_charge(east_res + 1, nq):
@@ -73,15 +79,16 @@ def r_weight(nw, sw, ne, se, rows, nq):
 
     rows = (i, j) fixes Z = (z_i/z_j)^nq with z_i on the NW--SE diagonal.
     The result is a Frac whose denominator is exactly 1 - vZ, so tables
-    of crossing weights add along the fast same-denominator path."""
+    of crossing weights add along the fast same-denominator path.  A leg
+    that is not decorated (_decorated) gives zero."""
     key = (nw, sw, ne, se, rows, nq)
     hit = _R_MEMO.get(key)
     if hit is not None:
         return hit
     if len(_R_MEMO) >= _R_MEMO_MAX:
         _R_MEMO.clear()
-    for spin, charge in (nw, sw, ne, se):
-        if (spin == 1) != (0 < charge <= nq):
+    for leg in (nw, sw, ne, se):
+        if not _decorated(leg, nq):
             val = S.Frac(S.zero(nq), S.one(nq))
             _R_MEMO[key] = val
             return val

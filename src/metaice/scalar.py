@@ -7,13 +7,23 @@ the rewrite rules
 
     g(0) = -v,        g(a) * g(modulus - a) = v    for a not cong 0.
 
-A monomial is keyed by (vq, zex, gex): vq is 4x the v exponent, zex a
-sorted tuple of (variable index, exponent) pairs, gex the canonical Gauss
-part.  Scaling exponents to integers (quarters for v, halves for g) keeps
-keys hashable and arithmetic exact.
+A monomial is keyed by (vq, z, gex): vq is 4x the v exponent, gex the
+canonical Gauss part, and z the z exponents packed into one int, a signed
+16-bit field per variable: z = sum(e_i << 16*(i-1)), the empty monomial
+being 0.  So the z part of a product is z1 + z2 and of an inverse -z.
+Every field keeps |e_i| < Z_LIMIT = 2^15: constructors refuse an exponent
+outside it, and a product (so also a power) raises ValueError when the
+exponent of a term pair would leave it, so no field ever carries into the
+next.  Each Scalar carries a bound on its exponents, so a product checks
+its operands' bounds and sums z parts pair by pair only near the limit.
+Scaling exponents to integers (quarters for v, halves for g) keeps keys
+hashable and arithmetic exact.  Scalar.sparse_terms() decodes z into
+sorted (index, exponent) pairs, and Scalar.from_sparse() packs them.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 import random
 
 # default prime for modular identity testing, 2^61 - 1 (Mersenne, = 3 mod 4)
@@ -24,6 +34,8 @@ DEFAULT_SEED = 20260815
 
 def _as_quarters(e):
     # accept int or Fraction with denominator dividing 4
+    if type(e) is int:
+        return 4 * e
     f = Fraction(e)
     q = f * 4
     if q.denominator != 1:
@@ -32,11 +44,48 @@ def _as_quarters(e):
 
 
 def _as_halves(e):
+    if type(e) is int:
+        return 2 * e
     f = Fraction(e)
     h = f * 2
     if h.denominator != 1:
         raise ValueError("gauss exponent must be a multiple of 1/2: %r" % (e,))
     return int(h)
+
+
+Z_LIMIT = 1 << 15  # every packed z exponent has |e| < Z_LIMIT
+_Z_MASK = (1 << 16) - 1
+
+
+def _pack_z(pairs):
+    """Packed z part of (index, exponent) pairs; indices are ints >= 1,
+    and an index given twice has its exponents summed.  ValueError when
+    an exponent falls outside its field."""
+    acc = {}
+    for i, e in pairs:
+        if type(i) is not int or i < 1:
+            raise ValueError("z index must be an int >= 1: %r" % (i,))
+        acc[i] = acc.get(i, 0) + e
+    z = 0
+    for i, e in acc.items():
+        if type(e) is not int or not -Z_LIMIT < e < Z_LIMIT:
+            raise ValueError("z%d exponent %r outside (-2^15, 2^15)" % (i, e))
+        z += e << (16 * (i - 1))
+    return z
+
+
+def _z_pairs(z):
+    """The sorted (index, exponent) pairs of a packed z part: the one
+    decoder of the packed form."""
+    pairs = []
+    i = 1
+    while z:
+        e = ((z + Z_LIMIT) & _Z_MASK) - Z_LIMIT
+        if e:
+            pairs.append((i, e))
+        z = (z - e) >> 16
+        i += 1
+    return tuple(pairs)
 
 
 def gauss_normalize(exps, nq):
@@ -97,33 +146,100 @@ def gauss_normalize(exps, nq):
     return sign, vq, tuple(out)
 
 
+GAUSS_MERGE_MAX = 4096
+
+
+@lru_cache(maxsize=GAUSS_MERGE_MAX)
+def _gauss_merge(gex1, gex2, nq):
+    """gauss_normalize of the product of two Gauss parts, as a triple
+    (sign, vq, gex).  Cached per (gex1, gex2, nq), at most
+    GAUSS_MERGE_MAX = 4,096 entries, least recently used dropped first;
+    a benchmark pass meets at most 273 distinct pairs."""
+    g = dict(gex1)
+    for a, e in gex2:
+        g[a] = g.get(a, 0) + e
+    return gauss_normalize(g, nq)
+
+
+def _scalar(terms, nq, zb=None):
+    """A Scalar owning `terms` (packed keys, nonzero coefficients), no copy."""
+    s = Scalar.__new__(Scalar)
+    s.terms = terms
+    s.nq = nq
+    s.zb = zb
+    return s
+
+
+def _product_bound(x, y):
+    """Bound on the z exponents of x * y from the operands' bounds, or
+    None after an exact check: near the field's limit every pair of z
+    parts is summed, and ValueError is raised when an exponent of a term
+    pair would leave its field."""
+    zb = x.z_bound() + y.z_bound()
+    if zb < Z_LIMIT:
+        return zb
+    second = {_z_pairs(key[1]) for key in y.terms}
+    for first in {_z_pairs(key[1]) for key in x.terms}:
+        for zex in second:
+            total = dict(first)
+            for i, e in zex:
+                total[i] = total.get(i, 0) + e
+            if any(abs(e) >= Z_LIMIT for e in total.values()):
+                raise ValueError("a z exponent of this product would leave (-2^15, 2^15)")
+    return None
+
+
 class Scalar:
     """Sparse exact element of the v / z / Gauss ground ring.
 
-    terms maps monomial keys to nonzero integer coefficients.  nq is the
-    Gauss modulus, or None for elements that use no Gauss symbols.
+    terms maps packed monomial keys (module docstring) to nonzero integer
+    coefficients and is not changed once the Scalar is built.  nq is the
+    Gauss modulus, or None for elements that use no Gauss symbols.  zb is
+    a bound on |exponent| over all z exponents, or None until first asked
+    for (z_bound).
     """
 
-    __slots__ = ["terms", "nq"]
+    __slots__ = ["terms", "nq", "zb"]
 
     def __init__(self, terms=None, nq=None):
         self.terms = dict(terms) if terms else {}
         self.nq = nq
+        self.zb = None
 
     # -- construction helpers ------------------------------------------
 
     @staticmethod
     def from_int(n, nq=None):
-        s = Scalar(nq=nq)
-        if n:
-            s.terms[(0, (), ())] = n
-        return s
+        return _scalar({(0, 0, ()): n} if n else {}, nq, 0)
+
+    @staticmethod
+    def from_sparse(items, nq=None):
+        """The Scalar with terms ((vq, zex, gex), coef), zex being (index,
+        exponent) pairs and gex a canonical Gauss part: the inverse of
+        sparse_terms.  Equal monomials are summed."""
+        terms = {}
+        for (vq, zex, gex), c in items:
+            key = (vq, _pack_z(zex), gex)
+            c = terms.get(key, 0) + c
+            if c:
+                terms[key] = c
+            elif key in terms:
+                del terms[key]
+        return _scalar(terms, nq)
 
     def is_zero(self):
         return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
+
+    def z_bound(self):
+        """A bound on |exponent| over the z exponents of every term; exact
+        when it is first computed here."""
+        if self.zb is None:
+            self.zb = max((abs(e) for key, _ in self.sparse_terms() for _, e in key[1]),
+                          default=0)
+        return self.zb
 
     # -- ring structure ------------------------------------------------
 
@@ -147,12 +263,13 @@ class Scalar:
                 terms[k] = c2
             elif k in terms:
                 del terms[k]
-        return Scalar(terms, nq)
+        zb = None if self.zb is None or other.zb is None else max(self.zb, other.zb)
+        return _scalar(terms, nq, zb)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -c for k, c in self.terms.items()}, self.nq)
+        return _scalar({k: -c for k, c in self.terms.items()}, self.nq, self.zb)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -170,39 +287,24 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         nq = self._join_nq(other)
+        zb = _product_bound(self, other)
         out = {}
-        for (vq1, zex1, gex1), c1 in self.terms.items():
-            z1 = dict(zex1)
-            for (vq2, zex2, gex2), c2 in other.terms.items():
-                coef = c1 * c2
-                vq = vq1 + vq2
-                if zex2:
-                    z = dict(z1)
-                    for i, e in zex2:
-                        e2 = z.get(i, 0) + e
-                        if e2:
-                            z[i] = e2
-                        elif i in z:
-                            del z[i]
-                    zex = tuple(sorted(z.items()))
+        get = out.get
+        items = other.terms.items()
+        for (vq1, z1, g1), c1 in self.terms.items():
+            for (vq2, z2, g2), c2 in items:
+                if g1 or g2:
+                    sign, dvq, g = _gauss_merge(g1, g2, nq)
+                    key = (vq1 + vq2 + dvq, z1 + z2, g)
+                    c = get(key, 0) + sign * c1 * c2
                 else:
-                    zex = zex1
-                if gex1 or gex2:
-                    g = dict(gex1)
-                    for a, e in gex2:
-                        g[a] = g.get(a, 0) + e
-                    sign, dvq, gex = gauss_normalize(g, nq)
-                    coef *= sign
-                    vq += dvq
-                else:
-                    gex = ()
-                key = (vq, zex, gex)
-                c = out.get(key, 0) + coef
+                    key = (vq1 + vq2, z1 + z2, ())
+                    c = get(key, 0) + c1 * c2
                 if c:
                     out[key] = c
-                elif key in out:
+                else:
                     del out[key]
-        return Scalar(out, nq)
+        return _scalar(out, nq, zb)
 
     __rmul__ = __mul__
 
@@ -224,13 +326,15 @@ class Scalar:
         """Inverse of a monomial unit (single term, coefficient +-1)."""
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible here")
-        (vq, zex, gex), c = next(iter(self.terms.items()))
+        (vq, z, gex), c = next(iter(self.terms.items()))
         if c not in (1, -1):
             raise ValueError("unit coefficient must be +-1, got %r" % (c,))
+        zb = self.z_bound()
+        if zb >= Z_LIMIT:
+            raise ValueError("z exponent outside (-2^15, 2^15)")
         g = {a: -e for a, e in gex}
         sign, dvq, gex2 = gauss_normalize(g, self.nq) if g else (1, 0, ())
-        key = (-vq + dvq, tuple((i, -e) for i, e in zex), gex2)
-        return Scalar({key: c * sign}, self.nq)
+        return _scalar({(-vq + dvq, -z, gex2): c * sign}, self.nq, zb)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -243,29 +347,39 @@ class Scalar:
 
     # -- structure inspection ------------------------------------------
 
+    def sparse_terms(self):
+        """Yield ((vq, zex, gex), coef) per term, zex being the sorted
+        (index, exponent) pairs of its z part."""
+        decoded = {}  # terms often share a z part
+        for (vq, z, gex), c in self.terms.items():
+            zex = decoded.get(z)
+            if zex is None:
+                zex = decoded[z] = _z_pairs(z)
+            yield (vq, zex, gex), c
+
     def z_split(self):
-        """Group terms by their z-exponent dict; yields (zex, sub-Scalar)."""
+        """Group terms by their z monomial; yields (zex, sub-Scalar) in
+        order of the sorted (index, exponent) pairs zex."""
         groups = {}
-        for (vq, zex, gex), c in self.terms.items():
-            groups.setdefault(zex, {})[(vq, (), gex)] = c
-        for zex in sorted(groups):
-            yield zex, Scalar(groups[zex], self.nq)
+        for (vq, z, gex), c in self.terms.items():
+            groups.setdefault(z, {})[(vq, 0, gex)] = c
+        for zex, z in sorted((_z_pairs(z), z) for z in groups):
+            yield zex, _scalar(groups[z], self.nq, 0)
 
     def permute_z(self, perm):
         """Relabel z variables; perm maps old index -> new index."""
         out = {}
-        for (vq, zex, gex), c in self.terms.items():
-            zex2 = tuple(sorted((perm.get(i, i), e) for i, e in zex))
-            key = (vq, zex2, gex)
+        for (vq, zex, gex), c in self.sparse_terms():
+            key = (vq, _pack_z((perm.get(i, i), e) for i, e in zex), gex)
             out[key] = out.get(key, 0) + c
-        return Scalar({k: c for k, c in out.items() if c}, self.nq)
+        return _scalar({k: c for k, c in out.items() if c}, self.nq)
 
     def has_gauss(self):
         return any(gex for (_, _, gex) in self.terms)
 
     def assert_integral(self):
         """Raise unless all v powers are integers and g powers integral."""
-        for (vq, _zex, gex) in self.terms:
+        for (vq, _z, gex) in self.terms:
             if vq % 4:
                 raise AssertionError("quarter v power leaked: vq=%d" % vq)
             for a, e2 in gex:
@@ -276,7 +390,7 @@ class Scalar:
     def degree_hint(self):
         """Crude total-degree bound used for failure-probability reports."""
         d = 0
-        for (vq, zex, gex) in self.terms:
+        for (vq, zex, gex), _ in self.sparse_terms():
             t = abs(vq) + sum(abs(e) for _, e in zex) + sum(abs(e) for _, e in gex)
             d = max(d, t)
         return d
@@ -307,40 +421,36 @@ class Scalar:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = [self._term_str(k, c) for k, c in sorted(self.terms.items())]
+        bits = [self._term_str(k, c) for k, c in sorted(self.sparse_terms())]
         s = bits[0]
         for b in bits[1:]:
             s += " - " + b[1:] if b.startswith("-") else " + " + b
         return s
 
     def to_json(self):
+        # vexp and each gauss exponent in lowest terms, as Fraction gives them
         terms = []
-        for (vq, zex, gex), c in sorted(self.terms.items()):
-            ve = Fraction(vq, 4)
+        for (vq, zex, gex), c in sorted(self.sparse_terms()):
+            d = gcd(vq, 4)
             terms.append({
                 "coef": c,
-                "vexp": [ve.numerator, ve.denominator],
+                "vexp": [vq // d, 4 // d],
                 "zexp": [[i, e] for i, e in zex],
-                "gauss": [[a, Fraction(e2, 2).numerator, Fraction(e2, 2).denominator]
-                          for a, e2 in gex],
+                "gauss": [[a, e2, 2] if e2 % 2 else [a, e2 // 2, 1] for a, e2 in gex],
             })
         return {"nq": self.nq, "terms": terms}
 
     @staticmethod
     def from_json(obj):
-        s = Scalar(nq=obj.get("nq"))
+        items = []
         for t in obj["terms"]:
             vn, vd = t["vexp"]
-            key = (_as_quarters(Fraction(vn, vd)),
-                   tuple(sorted((int(i), int(e)) for i, e in t["zexp"])),
-                   tuple(sorted((int(a), _as_halves(Fraction(n, d)))
-                                for a, n, d in t["gauss"])))
-            c = s.terms.get(key, 0) + t["coef"]
-            if c:
-                s.terms[key] = c
-            elif key in s.terms:
-                del s.terms[key]
-        return s
+            items.append(((_as_quarters(Fraction(vn, vd)),
+                           [(int(i), int(e)) for i, e in t["zexp"]],
+                           tuple(sorted((int(a), _as_halves(Fraction(n, d)))
+                                        for a, n, d in t["gauss"]))),
+                          t["coef"]))
+        return Scalar.from_sparse(items, obj.get("nq"))
 
 
 # -- convenience constructors -------------------------------------------
@@ -354,31 +464,31 @@ def one(nq=None):
 
 
 def zero(nq=None):
-    return Scalar(nq=nq)
+    return _scalar({}, nq, 0)
 
 
 def v_pow(e, nq=None):
-    return Scalar({(_as_quarters(e), (), ()): 1}, nq)
+    return _scalar({(_as_quarters(e), 0, ()): 1}, nq, 0)
 
 
 def z_pow(i, e, nq=None):
     if e == 0:
         return one(nq)
-    return Scalar({(0, ((i, e),), ()): 1}, nq)
+    return _scalar({(0, _pack_z(((i, e),)), ()): 1}, nq, abs(e))
 
 
 def z_mono(vec, nq=None):
     """z^vec for an integer vector; vec[k] is the exponent of z_{k+1}."""
-    zex = tuple((i + 1, e) for i, e in enumerate(vec) if e)
-    return Scalar({(0, zex, ()): 1}, nq)
+    return _scalar({(0, _pack_z((i + 1, e) for i, e in enumerate(vec)), ()): 1}, nq,
+                   max(map(abs, vec), default=0))
 
 
 def gauss_pow(a, e, nq):
     e2 = _as_halves(e)
     if not e2:
         return one(nq)
-    sign, vq, gex = gauss_normalize({a: e2}, nq)
-    return Scalar({(vq, (), gex): sign}, nq)
+    sign, vq, gex = _gauss_merge(((a, e2),), (), nq)
+    return _scalar({(vq, 0, gex): sign}, nq, 0)
 
 
 def gauss(a, nq):
@@ -406,8 +516,9 @@ def gauss_eval(a, b, nq):
 class Frac:
     """Quotient of two Scalars; no cancellation is attempted.
 
-    Equality checks cross-multiply, so representatives never need a
-    common form.  Addition keeps the denominator when both sides share
+    Equality (frac_eq) compares numerators over a shared denominator and
+    cross-multiplies otherwise, so representatives never need a common
+    form.  Addition keeps the denominator when both sides share
     it, which the vertex-weight tables are arranged to exploit.
     """
 
@@ -502,9 +613,15 @@ class Frac:
 
 
 def frac_eq(x, y):
-    """Exact equality of two fractions by cross multiplication."""
+    """Exact equality of two fractions: of the numerators when the
+    denominators are equal, else by cross multiplication.  Both tests
+    agree unless the shared denominator is a zero divisor, and every
+    denominator the package builds is a product of units and factors
+    1 - v * (monomial), which are not."""
     x = Frac.lift(x)
     y = Frac.lift(y)
+    if x.den == y.den:
+        return x.num == y.num
     return x.num * y.den == y.num * x.den
 
 
@@ -582,14 +699,15 @@ class ModAssignment:
         return self.z[i]
 
     def monomial(self, key):
-        """Residue of the monomial (vq, zex, gex) with coefficient 1."""
+        """Residue of the monomial with packed key (vq, z, gex) and
+        coefficient 1."""
         val = self.monomials.get(key)
         if val is not None:
             return val
         p = self.p
-        vq, zex, gex = key
+        vq, z, gex = key
         val = pow(self.u, vq % (p - 1), p)
-        for i, e in zex:
+        for i, e in _z_pairs(z):
             val = val * pow(self.z_value(i), e % (p - 1), p) % p
         for a, e2 in gex:
             if 2 * a == self.nq:

@@ -8,6 +8,8 @@ not tautology.
 
 import functools
 import itertools
+import operator
+from fractions import Fraction
 
 
 # -- raw Gauss-symbol evaluation (periodicity only, no rewriting) --------
@@ -36,6 +38,127 @@ def eval_gauss_raw(exps, asg):
         else:
             val = val * pow(asg.ghalf[r], e2 % (p - 1), p) % p
     return val
+
+
+# -- tuple-keyed ring ------------------------------------------------------
+
+class TupleKeyScalar:
+    """A ground-ring element keyed (vq, zex, gex) with zex a sorted tuple
+    of (index, exponent) pairs: the product, display and serialization
+    that scalar.Scalar had before its z exponents were packed into one
+    int, kept unchanged as the reference for the packed ring.  The Gauss
+    rewrite is the package's gauss_normalize, which its own tests check
+    against raw periodicity."""
+
+    def __init__(self, terms, nq, gauss_normalize):
+        self.terms = dict(terms)
+        self.nq = nq
+        self.gauss_normalize = gauss_normalize
+
+    def _join_nq(self, other):
+        if self.nq is None:
+            return other.nq
+        if other.nq is None or other.nq == self.nq:
+            return self.nq
+        raise ValueError("gauss modulus mismatch: %r vs %r" % (self.nq, other.nq))
+
+    def __mul__(self, other):
+        gauss_normalize = self.gauss_normalize
+        nq = self._join_nq(other)
+        out = {}
+        for (vq1, zex1, gex1), c1 in self.terms.items():
+            z1 = dict(zex1)
+            for (vq2, zex2, gex2), c2 in other.terms.items():
+                coef = c1 * c2
+                vq = vq1 + vq2
+                if zex2:
+                    z = dict(z1)
+                    for i, e in zex2:
+                        e2 = z.get(i, 0) + e
+                        if e2:
+                            z[i] = e2
+                        elif i in z:
+                            del z[i]
+                    zex = tuple(sorted(z.items()))
+                else:
+                    zex = zex1
+                if gex1 or gex2:
+                    g = dict(gex1)
+                    for a, e in gex2:
+                        g[a] = g.get(a, 0) + e
+                    sign, dvq, gex = gauss_normalize(g, nq)
+                    coef *= sign
+                    vq += dvq
+                else:
+                    gex = ()
+                key = (vq, zex, gex)
+                c = out.get(key, 0) + coef
+                if c:
+                    out[key] = c
+                elif key in out:
+                    del out[key]
+        return TupleKeyScalar(out, nq, gauss_normalize)
+
+    def z_split(self):
+        """Group terms by their z-exponent dict; yields (zex, sub-terms)."""
+        groups = {}
+        for (vq, zex, gex), c in self.terms.items():
+            groups.setdefault(zex, {})[(vq, (), gex)] = c
+        for zex in sorted(groups):
+            yield zex, TupleKeyScalar(groups[zex], self.nq, self.gauss_normalize)
+
+    def permute_z(self, perm):
+        """Relabel z variables; perm maps old index -> new index."""
+        out = {}
+        for (vq, zex, gex), c in self.terms.items():
+            zex2 = tuple(sorted((perm.get(i, i), e) for i, e in zex))
+            key = (vq, zex2, gex)
+            out[key] = out.get(key, 0) + c
+        return TupleKeyScalar({k: c for k, c in out.items() if c}, self.nq,
+                              self.gauss_normalize)
+
+    def _term_str(self, key, coef):
+        vq, zex, gex = key
+        parts = []
+        if coef == -1:
+            lead = "-"
+        elif coef == 1:
+            lead = ""
+        else:
+            lead = str(coef) + "*"
+        if vq:
+            e = Fraction(vq, 4)
+            parts.append("v" if e == 1 else "v^(%s)" % e)
+        for i, e in zex:
+            parts.append("z%d" % i if e == 1 else "z%d^%s" % (i, e))
+        for a, e2 in gex:
+            e = Fraction(e2, 2)
+            parts.append("g(%d)" % a if e == 1 else "g(%d)^(%s)" % (a, e))
+        if not parts:
+            return str(coef)
+        return lead + "*".join(parts)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = [self._term_str(k, c) for k, c in sorted(self.terms.items())]
+        s = bits[0]
+        for b in bits[1:]:
+            s += " - " + b[1:] if b.startswith("-") else " + " + b
+        return s
+
+    def to_json(self):
+        terms = []
+        for (vq, zex, gex), c in sorted(self.terms.items()):
+            ve = Fraction(vq, 4)
+            terms.append({
+                "coef": c,
+                "vexp": [ve.numerator, ve.denominator],
+                "zexp": [[i, e] for i, e in zex],
+                "gauss": [[a, Fraction(e2, 2).numerator, Fraction(e2, 2).denominator]
+                          for a, e2 in gex],
+            })
+        return {"nq": self.nq, "terms": terms}
 
 
 # -- strict interleaving triangular patterns -----------------------------
@@ -388,7 +511,7 @@ def _poly_mul(a, b):
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = tuple(map(operator.add, ka, kb))
             out[k] = out.get(k, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
 
@@ -424,8 +547,10 @@ def as_x_poly(z, r):
     """A modulus-one Scalar in z_1 .. z_r as the dict tokuyama_z returns:
     (v exponent, x_1 exponent, ..., x_r exponent) -> coefficient, x = 1/z."""
     out = {}
-    for (vq, zex, gex), coef in z.terms.items():
-        assert not gex and vq % 4 == 0
+    for zex, sub in z.z_split():
         x = dict(zex)
-        out[(vq // 4,) + tuple(-x.get(i, 0) for i in range(1, r + 1))] = coef
+        xs = tuple(-x.get(i, 0) for i in range(1, r + 1))
+        for (vq, _, gex), coef in sub.sparse_terms():
+            assert not gex and vq % 4 == 0
+            out[(vq // 4,) + xs] = coef
     return out

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from metaice import cli
 from metaice import metaplectic as MP
 from metaice import rvertex as RV
 from metaice import scalar as S
@@ -354,3 +355,24 @@ def test_tau_involution_higher_rank():
     for mu in product(range(-1, 2), repeat=3):
         for i in (1, 2):
             assert MP.tau_involution(mu, i, p)["ok"]
+
+
+def test_shared_denominator_verdicts_match_cross_multiplication(monkeypatch):
+    # every check of verify thm12 --rank 3 compares fractions over one
+    # denominator; the numerator test must give the cross-multiplied verdict
+    plain = S.frac_eq
+    shared = []
+
+    def both(x, y):
+        x, y = S.Frac.lift(x), S.Frac.lift(y)
+        got = plain(x, y)
+        assert got == (x.num * y.den == y.num * x.den), (x, y)
+        shared.append(x.den == y.den)
+        return got
+
+    monkeypatch.setattr(S, "frac_eq", both)
+    covers = [MP.CoverParams(n, b, c, 3) for n in range(1, 5) for b in range(n)
+              for c in range(2 * n)]
+    diagrams = [ok for params in covers for _, ok in cli._thm12_checks(params)]
+    assert len(diagrams) == 5200 and all(diagrams)
+    assert shared and all(shared)

@@ -167,7 +167,7 @@ def _same_frac(x, y):
 def test_rtt_matches_the_dense_oracle(nq):
     # every boundary, malformed legs included: same keys in the same
     # order, the same numerators and denominators, the same verdict
-    legs = R.decorated_values(nq) + [(1, 0), (1, nq + 1), (-1, 1)]
+    legs = R.decorated_values(nq) + [(1, 0), (1, nq + 1), (-1, 1), (-1, 5), (2, 1), (0, 0)]
     rows = [(1, 2)] + ([(2, 1), (3, 5)] if nq == 2 else [])
     for sigma, tau, theta, rho in itertools.product(legs, repeat=4):
         for beta, alpha, r in itertools.product((1, -1), (1, -1), rows):

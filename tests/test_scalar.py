@@ -1,5 +1,6 @@
 """Ground-ring unit tests: canonical forms, ring axioms, modular points."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from metaice.scalar import (
     make_assignment, eval_scalar_mod, eval_frac_mod,
 )
 
-from oracles import eval_gauss_raw
+from oracles import TupleKeyScalar, eval_gauss_raw
 
 
 # -- frozen normalization cases ------------------------------------------
@@ -101,7 +102,7 @@ def test_normalizer_against_raw_oracle():
         if any((r == 0 or 2 * r == nq) and e % 2 for r, e in byres.items()):
             continue
         sign, vq, gex = gauss_normalize(exps, nq)
-        norm = Scalar({(vq, (), gex): sign}, nq)
+        norm = Scalar.from_sparse([((vq, (), gex), sign)], nq)
         for pt in range(3):
             asg = make_assignment(nq, [], seed=trial * 17 + pt)
             assert eval_scalar_mod(norm, asg) == eval_gauss_raw(exps, asg)
@@ -155,6 +156,102 @@ def random_scalar(rng, nq, nterms=3):
                                 Fraction(rng.randrange(-3, 4), rng.choice((1, 2))), nq)
         s = s + t
     return s
+
+
+def _random_sparse(rng, nq, nterms=4):
+    """Random ((vq, zex, gex), coef) terms: z indices up to 8, negative
+    exponents, quarter v powers and half Gauss powers in canonical form."""
+    items = []
+    for _ in range(rng.randrange(1, nterms + 1)):
+        zex = tuple(sorted((i, rng.choice((-40, -3, -2, -1, 1, 2, 3, 40)))
+                           for i in rng.sample(range(1, 9), rng.randrange(0, 5))))
+        exps = {}
+        if nq > 1:
+            for _ in range(rng.randrange(0, 3)):
+                a = rng.randrange(1, nq)
+                exps[a] = exps.get(a, 0) + rng.randrange(-3, 4)
+        sign, vq, gex = gauss_normalize(exps, nq)
+        items.append(((vq + rng.randrange(-6, 7), zex, gex), sign * rng.choice((-3, -1, 1, 2))))
+    return items
+
+
+def _tuple_key(items, nq):
+    terms = {}
+    for key, c in items:
+        terms[key] = terms.get(key, 0) + c
+    return TupleKeyScalar({k: c for k, c in terms.items() if c}, nq, gauss_normalize)
+
+
+def _dump(x):
+    return json.dumps(x.to_json(), sort_keys=True)
+
+
+def test_packed_ring_matches_the_tuple_key_oracle():
+    rng = random.Random(20261018)
+    for trial in range(300):
+        nq = trial % 6 + 1
+        a, b = _random_sparse(rng, nq), _random_sparse(rng, nq)
+        x, y = Scalar.from_sparse(a, nq), Scalar.from_sparse(b, nq)
+        ox, oy = _tuple_key(a, nq), _tuple_key(b, nq)
+        assert dict(x.sparse_terms()) == ox.terms
+        prod, want = x * y, ox * oy
+        # term by term, in the same order
+        assert list(prod.sparse_terms()) == list(want.terms.items())
+        for got, ref in ((x, ox), (prod, want)):
+            assert _dump(got) == _dump(ref)
+            assert repr(got) == repr(ref)
+            assert [(zex, _dump(sub)) for zex, sub in got.z_split()] == \
+                [(zex, _dump(sub)) for zex, sub in ref.z_split()]
+            perm = dict(zip(range(1, 9), rng.sample(range(1, 9), 8)))
+            assert _dump(got.permute_z(perm)) == _dump(ref.permute_z(perm))
+            assert Scalar.from_json(ref.to_json()) == got
+            assert _dump(Scalar.from_json(json.loads(_dump(got)))) == _dump(ref)
+
+
+def test_z_exponents_outside_the_field_are_refused():
+    top = S.Z_LIMIT - 1
+    for bad in (S.Z_LIMIT, -S.Z_LIMIT, 1 << 20):
+        with pytest.raises(ValueError):
+            S.z_pow(2, bad)
+        with pytest.raises(ValueError):
+            S.z_mono([0, bad])
+        with pytest.raises(ValueError):
+            Scalar.from_json({"nq": None, "terms": [
+                {"coef": 1, "vexp": [0, 1], "zexp": [[2, bad]], "gauss": []}]})
+    # a field that a raw key filled with -2^15 has no inverse in range
+    with pytest.raises(ValueError):
+        Scalar({(0, -S.Z_LIMIT, ()): 1}).inverse()
+    x = S.z_pow(1, top) * S.z_pow(2, 5)
+    for overflow in (lambda: x * S.z_pow(1, 1), lambda: S.z_pow(1, -top) * S.z_pow(1, -1),
+                     lambda: (S.one() - x) * S.z_pow(1, 1), lambda: (x + 1) * (x + 1),
+                     lambda: x ** 2, lambda: S.z_pow(1, 2) ** (S.Z_LIMIT // 2)):
+        with pytest.raises(ValueError):
+            overflow()
+    # nothing carried into z2, and the largest exponents still work
+    assert list(x.sparse_terms()) == [((0, ((1, top), (2, 5)), ()), 1)]
+    assert S.z_pow(1, top - 5) * S.z_pow(1, 5) * S.z_pow(2, 5) == x
+    assert list((S.z_pow(1, 1 - top) * S.z_pow(1, -1)).sparse_terms()) == \
+        [((0, ((1, -top),), ()), 1)]
+    assert list((S.z_pow(1, 2) ** (S.Z_LIMIT // 2 - 1)).sparse_terms()) == \
+        [((0, ((1, S.Z_LIMIT - 2),), ()), 1)]
+    # near the limit the z parts are summed pair by pair, so a bound
+    # carried through cancelling products refuses nothing
+    flat = S.z_pow(1, 10000) * S.z_pow(1, -10000)
+    assert flat == S.one() and flat.z_bound() == 20000
+    assert flat * S.z_pow(1, 20000) == S.z_pow(1, 20000)
+    assert S.z_pow(1, 20000) * S.z_pow(1, -20000) == S.one()
+
+
+def test_gauss_merge_cache_stays_within_its_bound():
+    S._gauss_merge.cache_clear()
+    nq = 7
+    powers = [S.gauss_pow(1, k, nq) for k in range(1, 70)]  # 69^2 > 4096 pairs
+    for x in powers:
+        for y in powers:
+            x * y
+    info = S._gauss_merge.cache_info()
+    assert info.maxsize == S.GAUSS_MERGE_MAX and 0 < info.currsize <= S.GAUSS_MERGE_MAX
+    assert powers[3] * powers[5] == S.gauss_pow(1, 10, nq)
 
 
 def test_ring_axioms():
@@ -320,7 +417,7 @@ def _residue(x, asg):
     """x at a point, term by term with no memo; Gauss parts by the raw oracle."""
     p = asg.p
     total = 0
-    for (vq, zex, gex), c in x.terms.items():
+    for (vq, zex, gex), c in x.sparse_terms():
         val = c * pow(asg.u, vq % (p - 1), p) * eval_gauss_raw(dict(gex), asg)
         for i, e in zex:
             val *= pow(asg.z[i], e % (p - 1), p)
