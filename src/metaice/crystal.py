@@ -17,23 +17,42 @@ from . import lattice as L
 from . import metaplectic as MP
 
 
-@lru_cache(maxsize=None)
+# bound of each rank-keyed layout memo below; an entry holds r(r-1)/2 roots
+RANK_MEMO_MAX = 32
+
+
+@lru_cache(maxsize=RANK_MEMO_MAX)
 def _root_order(r):
     return tuple((i, j) for i in range(1, r) for j in range(i + 1, r + 1))
 
 
-@lru_cache(maxsize=None)
-def _root_set(r):
-    return frozenset(_root_order(r))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_MEMO_MAX)
 def _layer_roots(r):
     """The one root <-> entry map: for k = 1..r-1, the roots fixed between
     array rows k - 1 and k, in column order.  Entry q of row k gives
     m_{r-k-q, r-k+1} = a_{k,k+q} - a_{k-1,k+q} = row[q] - above[q + 1]."""
     return tuple(tuple((r - k - q, r - k + 1) for q in range(r - k))
                  for k in range(1, r))
+
+
+@lru_cache(maxsize=RANK_MEMO_MAX)
+def _flat_roots(r):
+    """The _layer_roots roots, layer after layer: the order in which a
+    CrystalNode holds its values."""
+    return tuple(chain.from_iterable(_layer_roots(r)))
+
+
+@lru_cache(maxsize=RANK_MEMO_MAX)
+def _in_root_order(r):
+    """A function taking layer-order values to a tuple in root order."""
+    perm = [_flat_roots(r).index(root) for root in _root_order(r)]
+    # itemgetter of one index returns the item, not a 1-tuple
+    return itemgetter(*perm) if len(perm) > 1 else tuple
+
+
+# every entry of a row but its first, and but its last
+_tail = itemgetter(slice(1, None))
+_head = itemgetter(slice(None, -1))
 
 
 def _top_row(lam, r):
@@ -45,7 +64,7 @@ def _root_values(rows):
     consecutive array rows (a whole array, or a row and the row under
     it): row[q] - above[q + 1]."""
     return map(sub, chain.from_iterable(rows[1:]),
-               chain.from_iterable(row[1:] for row in rows))
+               chain.from_iterable(map(_tail, rows)))
 
 
 def _long_word(r):
@@ -64,46 +83,57 @@ def _check_partition(lam, r):
 
 class CrystalNode:
     """Nonnegative integer on every positive root (i, j), i < j <= r,
-    listed against the fixed reduced word.  The constructor validates its
-    arguments; the package's enumeration and bijections build nodes valid
-    by construction through _trusted, which skips the checks."""
+    listed against the fixed reduced word.  The values are held as one
+    tuple in _flat_roots order, layer after layer of the triangular
+    array, and m is a read-only view: each read builds a fresh dict
+    {root: value} in that order, so editing it leaves the node as it
+    was.  The constructor validates its arguments; the package's
+    enumeration and bijections build nodes valid by construction through
+    _trusted, which skips the checks."""
 
-    __slots__ = ["r", "m"]
+    __slots__ = ["r", "values"]
 
     def __init__(self, r, m):
         if r < 1:
             raise ValueError("rank must be a positive integer")
         m = dict(m)
-        if m.keys() != _root_set(r):
+        roots = _flat_roots(r)
+        if m.keys() != set(roots):
             raise ValueError("m must assign exactly the roots (i, j), 1 <= i < j <= %d" % r)
         if not all(type(v) is int and v >= 0 for v in m.values()):
             raise ValueError("root values must be nonnegative ints (bool is refused)")
         self.r = r
-        self.m = m
+        self.values = tuple(map(m.__getitem__, roots))
 
     @classmethod
-    def _trusted(cls, r, m):
-        """A node from a dict m that is known to be valid for rank r."""
+    def _trusted(cls, r, values):
+        """A node from a tuple of values, in _flat_roots order, known to
+        be valid for rank r."""
         node = object.__new__(cls)
         node.r = r
-        node.m = m
+        node.values = values
         return node
 
+    @property
+    def m(self):
+        """A fresh dict {root: value} in _flat_roots order."""
+        return dict(zip(_flat_roots(self.r), self.values))
+
     def vector(self):
-        return tuple(map(self.m.__getitem__, _root_order(self.r)))
+        return _in_root_order(self.r)(self.values)
 
     def z_exponent(self):
         """Exponent vector of the node monomial: root (i, j) adds its
         value to slot i and subtracts it from slot j; entries sum to 0."""
         p = [0] * self.r
-        for (i, j), m in self.m.items():
+        for (i, j), m in zip(_flat_roots(self.r), self.values):
             p[i - 1] += m
             p[j - 1] -= m
         return tuple(p)
 
     def __eq__(self, other):
         return (isinstance(other, CrystalNode)
-                and self.r == other.r and self.m == other.m)
+                and self.r == other.r and self.values == other.values)
 
     __hash__ = None
 
@@ -112,7 +142,7 @@ class CrystalNode:
 
     def to_json(self):
         return {"longWord": list(_long_word(self.r)),
-                "m": [[i, j, self.m[(i, j)]] for i, j in _root_order(self.r)]}
+                "m": [[i, j, m] for (i, j), m in zip(_root_order(self.r), self.vector())]}
 
 
 class GTPattern:
@@ -164,7 +194,9 @@ class GTPattern:
 
 
 def _rows_strict(rows):
-    return all(all(map(gt, row, row[1:])) for row in rows)
+    """Every row strictly decreasing, in one pass over all the rows."""
+    return all(map(gt, chain.from_iterable(map(_head, rows)),
+                   chain.from_iterable(map(_tail, rows))))
 
 
 def _check_shape(rows):
@@ -178,12 +210,21 @@ def _check_shape(rows):
 
 
 def _check_interleave(rows):
-    """ValueError naming the first pair of rows where a_{k-1,l} <= a_{k,l}
-    <= a_{k-1,l-1} fails."""
+    """ValueError unless a_{k-1,l} <= a_{k,l} <= a_{k-1,l-1} throughout,
+    tested in one pass over rows of the right shape."""
+    below = tuple(chain.from_iterable(rows[1:]))
+    if not (all(map(le, chain.from_iterable(map(_tail, rows)), below))
+            and all(map(le, below, chain.from_iterable(map(_head, rows))))):
+        raise _interleave_error(rows)
+
+
+def _interleave_error(rows):
+    """The ValueError naming the first pair of rows that does not
+    interleave; rows is known to have one."""
     for k in range(1, len(rows)):
         above, row = rows[k - 1], rows[k]
         if not (all(map(le, above[1:], row)) and all(map(le, row, above))):
-            raise ValueError("rows %d and %d do not interleave" % (k - 1, k))
+            return ValueError("rows %d and %d do not interleave" % (k - 1, k))
 
 
 class Decoration:
@@ -229,13 +270,9 @@ def crystal_enumerate(lam, r):
                                 for row in L._rows_below(above)]
             nxt += [(row, values + step) for row, step in steps[above]]
         prefixes = nxt
-    roots = tuple(chain.from_iterable(_layer_roots(r)))
     found = [values for _, values in prefixes]
-    # r <= 1 has one node; at r = 2 the key is the one value, not a 1-tuple
-    perm = [roots.index(root) for root in _root_order(r)]
-    if perm:
-        found.sort(key=itemgetter(*perm))
-    return [CrystalNode._trusted(r, dict(zip(roots, values))) for values in found]
+    found.sort(key=_in_root_order(r))
+    return [CrystalNode._trusted(r, values) for values in found]
 
 
 def root_data(node, lam):
@@ -331,35 +368,36 @@ def coset_piece(I, gamma, lam, cosets):
 
 
 def node_to_gt(node, lam):
-    """Stack lambda + rho on top and add each root value of _layer_roots
-    to the entry up and to the right.  Root values are nonnegative ints,
-    so every entry is an int at least its upper right neighbour; what is
-    left to reject is a non-int lam, an entry above its upper left
-    neighbour (outside membership) and a row that is not strict."""
+    """Stack lambda + rho on top and add each layer's node values, in
+    order, to the entries up and to the right.  Root values are
+    nonnegative ints, so every entry is an int at least its upper right
+    neighbour; what is left to reject is a non-int lam, an entry above
+    its upper left neighbour (outside membership) and a row that is not
+    strict, tested in that order as GTPattern tests them."""
     r = node.r
     lam = _check_partition(lam, r)
     if not all(type(a) is int for a in lam):
         raise ValueError("pattern entries must be ints (bool is refused)")
     above = _top_row(lam, r)
-    rows, strict, value = [above], True, node.m.__getitem__
-    for k, roots in enumerate(_layer_roots(r), 1):
-        row = tuple(map(add, above[1:], map(value, roots)))
-        if not all(map(le, row, above)):
-            raise ValueError("rows %d and %d do not interleave" % (k - 1, k))
-        # as in GTPattern, every row is tested for interleaving before strictness
-        strict = strict and all(map(gt, row, row[1:]))
-        rows.append(row)
-        above = row
-    if not strict:
+    rows, values = [above], iter(node.values)
+    for _ in range(1, r):
+        # map stops at its first exhausted argument, above[1:], so each
+        # row takes exactly its layer's values from the shared iterator
+        above = tuple(map(add, above[1:], values))
+        rows.append(above)
+    rows = tuple(rows)
+    if not all(map(le, chain.from_iterable(rows[1:]),
+                   chain.from_iterable(map(_head, rows)))):
+        raise _interleave_error(rows)
+    if not _rows_strict(rows):
         raise ValueError("pattern rows must strictly decrease")
-    return GTPattern._trusted(tuple(rows))
+    return GTPattern._trusted(rows)
 
 
 def gt_to_node(pattern):
-    """Row differences read back as root values through _layer_roots; a
+    """Row differences read back as root values in _flat_roots order; a
     valid pattern makes each one a nonnegative int."""
-    roots = chain.from_iterable(_layer_roots(pattern.r))
-    return CrystalNode._trusted(pattern.r, dict(zip(roots, _root_values(pattern.rows))))
+    return CrystalNode._trusted(pattern.r, tuple(_root_values(pattern.rows)))
 
 
 def _lam_from_top(pattern):
@@ -375,8 +413,7 @@ def ice_to_gt(state):
     r, N = state.r, state.N
     if -1 in state.vertical[0]:
         raise ValueError("bottom boundary must carry + spins")
-    rows = tuple([tuple([N - 1 - j for j, s in enumerate(state.vertical[r - k]) if s == -1])
-                  for k in range(r)])
+    rows = tuple([L._labels(state.vertical[r - k], N) for k in range(r)])
     _check_shape(rows)
     _check_interleave(rows)
     return GTPattern._trusted(rows)

@@ -482,16 +482,144 @@ def partition_classes(system, L, S):
 
 # -- node-by-node generating sum -------------------------------------------
 
-def i_lambda_by_nodes(lam, r, nq, crystal_enumerate, node_weight, S):
-    """The triangular-array generating sum by listing every node and
-    adding weight times node monomial; the enumerator and the node weight
-    are passed in, since this checks the package's transfer."""
+def i_lambda_by_nodes(nodes, lam, nq, node_weight, S):
+    """The triangular-array generating sum by adding weight times node
+    monomial over every node of lam; the nodes and the node weight are
+    passed in, since this checks the package's transfer.  The nodes do
+    not depend on nq, so one list serves every modulus."""
     total = S.zero(nq)
-    for node in crystal_enumerate(lam, r):
+    for node in nodes:
         w = node_weight(node, lam, nq)
         if not w.is_zero():
             total = total + w * S.z_mono(node.z_exponent(), nq)
     return total
+
+
+# -- the four bijections through root dicts and per-row scans ---------------
+#
+# The bijections as they were when a node held its values in a dict keyed
+# by root: each row is built and checked on its own, and every band and
+# horizontal row is scanned afresh.  They return plain rows, root dicts
+# and (vertical, horizontal) bands, and raise the package's ValueErrors.
+
+def _layer_roots(r):
+    """For k = 1..r-1, the roots fixed between array rows k - 1 and k:
+    entry q of row k gives m_{r-k-q, r-k+1} = row[q] - above[q + 1]."""
+    return [[(r - k - q, r - k + 1) for q in range(r - k)] for k in range(1, r)]
+
+
+def _rows_strict(rows):
+    return all(all(map(operator.gt, row, row[1:])) for row in rows)
+
+
+def _check_rows(rows):
+    """Row lengths, then interleaving, one row at a time."""
+    r = len(rows)
+    if r < 1:
+        raise ValueError("pattern needs at least one row")
+    for k, row in enumerate(rows):
+        if len(row) != r - k:
+            raise ValueError("row %d must have %d entries" % (k, r - k))
+    for k in range(1, r):
+        above, row = rows[k - 1], rows[k]
+        if not (all(map(operator.le, above[1:], row))
+                and all(map(operator.le, row, above))):
+            raise ValueError("rows %d and %d do not interleave" % (k - 1, k))
+
+
+def band_by_scan(labels, N):
+    """Spins of a band of N vertical edges: - at the column labels."""
+    band = [1] * N
+    for label in labels:
+        band[N - 1 - label] = -1
+    return tuple(band)
+
+
+def horizontal_row_by_scan(north, south):
+    """Horizontal spins between two bands, propagated right to left from
+    the - right boundary; None when they do not propagate or the left
+    edge does not close with +."""
+    east, row = -1, [-1] * (len(north) + 1)
+    for j in range(len(north) - 1, -1, -1):
+        if north[j] != south[j]:
+            if east != north[j]:
+                return None
+            east = -east
+        row[j] = east
+    return tuple(row) if east == 1 else None
+
+
+def node_to_rows_by_dict(node, lam, check_partition):
+    """crystal.node_to_gt as rows, each row read through node.m and
+    tested for interleaving as it is built; strictness is tested after
+    every row has been tested for interleaving."""
+    r = node.r
+    lam = check_partition(lam, r)
+    if not all(type(a) is int for a in lam):
+        raise ValueError("pattern entries must be ints (bool is refused)")
+    above = tuple(map(operator.add, lam, range(r - 1, -1, -1)))
+    rows, strict, value = [above], True, node.m.__getitem__
+    for k, roots in enumerate(_layer_roots(r), 1):
+        row = tuple(map(operator.add, above[1:], map(value, roots)))
+        if not all(map(operator.le, row, above)):
+            raise ValueError("rows %d and %d do not interleave" % (k - 1, k))
+        strict = strict and all(map(operator.gt, row, row[1:]))
+        rows.append(row)
+        above = row
+    if not strict:
+        raise ValueError("pattern rows must strictly decrease")
+    return tuple(rows)
+
+
+def rows_to_m_by_dict(rows):
+    """crystal.gt_to_node as its root dict, filled layer after layer."""
+    m = {}
+    for k, roots in enumerate(_layer_roots(len(rows)), 1):
+        m.update(zip(roots, map(operator.sub, rows[k], rows[k - 1][1:])))
+    return m
+
+
+def rows_to_ice_by_scan(rows, N=None):
+    """crystal.gt_to_ice as (vertical, horizontal)."""
+    if not _rows_strict(rows):
+        raise ValueError("pattern rows must strictly decrease")
+    if N is None:
+        N = rows[0][0] + 1
+    if N < rows[0][0] + 1:
+        raise ValueError("need N > the top row maximum")
+    if rows[-1][0] < 0:
+        raise ValueError("column labels must be nonnegative")
+    vertical = (band_by_scan((), N),) + tuple([band_by_scan(row, N) for row in reversed(rows)])
+    horizontal = tuple(map(horizontal_row_by_scan, vertical[1:], vertical))
+    if None in horizontal:
+        raise ValueError("spins do not propagate in row %d" % (horizontal.index(None) + 1))
+    return vertical, horizontal
+
+
+def ice_to_rows_by_scan(vertical, horizontal):
+    """crystal.ice_to_gt as rows: the - spin labels of each band, top
+    band first, scanned against the width of the bottom band."""
+    r, N = len(horizontal), len(vertical[0])
+    if -1 in vertical[0]:
+        raise ValueError("bottom boundary must carry + spins")
+    rows = tuple([tuple([N - 1 - j for j, s in enumerate(vertical[r - k]) if s == -1])
+                  for k in range(r)])
+    _check_rows(rows)
+    return rows
+
+
+def node_forms_by_dict(r, m):
+    """(repr, to_json, z_exponent, vector) of a rank-r CrystalNode that
+    holds the root dict m itself."""
+    order = [(i, j) for i in range(1, r) for j in range(i + 1, r + 1)]
+    word = [x for start in range(r, 0, -1) for x in range(start, r + 1)]
+    p = [0] * r
+    for (i, j), value in m.items():
+        p[i - 1] += value
+        p[j - 1] -= value
+    return ("CrystalNode(%d, %r)" % (r, m),
+            {"longWord": word, "m": [[i, j, m[(i, j)]] for i, j in order]},
+            tuple(p), tuple(m[root] for root in order))
 
 
 # -- Tokuyama's formula at modulus one ---------------------------------------

@@ -187,13 +187,14 @@ def test_generating_sum_modulus_one_is_fully_evaluated():
 
 
 def test_transfer_matches_the_node_by_node_sum():
-    cases = [(lam, nq) for r in range(1, 5) for lam in _partitions(r, 3)
-             for nq in (1, 2, 3, 4)]
-    cases += [((4, 3, 2, 1, 0), 2), ((4, 3, 2, 1, 0), 3)]
-    for lam, nq in cases:
-        expected = oracles.i_lambda_by_nodes(lam, len(lam), nq, C.crystal_enumerate,
-                                             C.node_weight, S)
-        assert C.i_lambda(lam, len(lam), nq) == expected, (lam, nq)
+    # the nodes do not depend on nq: one enumeration per lam serves every nq
+    cases = [(lam, (1, 2, 3, 4)) for r in range(1, 5) for lam in _partitions(r, 3)]
+    cases += [((4, 3, 2, 1, 0), (2, 3))]
+    for lam, moduli in cases:
+        nodes = C.crystal_enumerate(lam, len(lam))
+        for nq in moduli:
+            expected = oracles.i_lambda_by_nodes(nodes, lam, nq, C.node_weight, S)
+            assert C.i_lambda(lam, len(lam), nq) == expected, (lam, nq)
 
 
 def test_generating_sum_is_tokuyama_at_modulus_one():
@@ -368,6 +369,116 @@ def test_bijections_reject_what_their_input_does_not_imply():
     # its one band reads as the valid pattern ((1,),)
     with pytest.raises(ValueError, match="bottom boundary"):
         C.ice_to_gt(L.IceState(((-1, 1), (-1, 1)), ((1, -1, -1),)))
+
+
+def test_editing_m_leaves_the_node_unchanged():
+    node = C.gt_to_node(ref_pattern())
+    before = (node.vector(), repr(node), node.to_json(), C.node_to_gt(node, REF_LAM))
+    node.m[(1, 2)] = 7
+    del node.m[(1, 3)]
+    node.m.clear()
+    assert node == ref_node() != C.CrystalNode(3, {**REF_M, (1, 2): 7})
+    assert (node.vector(), repr(node), node.to_json(),
+            C.node_to_gt(node, REF_LAM)) == before
+    with pytest.raises(AttributeError):
+        node.m = {(1, 2): 7, (1, 3): 2, (2, 3): 1}
+    # the constructor keeps no reference to the dict it was given
+    m = dict(REF_M)
+    built = C.CrystalNode(3, m)
+    m[(1, 2)] = 7
+    assert built == ref_node() and built.m == REF_M
+
+
+def test_bijections_match_the_dict_oracle():
+    # every criterion-8 shape of rank at most 5, and (1, 0^5)
+    shapes = [lam for r in range(1, 6) for lam in _partitions(r, 7 - r)]
+    shapes.append((1, 0, 0, 0, 0, 0))
+    seen = 0
+    for lam in shapes:
+        r = len(lam)
+        for node in C.crystal_enumerate(lam, r):
+            rows = oracles.node_to_rows_by_dict(node, lam, L.check_partition)
+            pattern = C.node_to_gt(node, lam)
+            assert pattern.rows == rows
+            m = oracles.rows_to_m_by_dict(rows)
+            back = C.gt_to_node(pattern)
+            assert back == node
+            assert list(back.m.items()) == list(m.items())
+            state = C.gt_to_ice(pattern)
+            bands = oracles.rows_to_ice_by_scan(rows)
+            assert (state.vertical, state.horizontal) == bands
+            assert C.ice_to_gt(state).rows == oracles.ice_to_rows_by_scan(*bands) == rows
+            seen += 1
+    assert seen == 102656
+
+
+def test_node_forms_match_the_dict_oracle():
+    for lam in ((0,) * 6, (1, 0, 0, 0, 0, 0)):
+        for node in C.crystal_enumerate(lam, 6):
+            m = oracles.rows_to_m_by_dict(oracles.node_to_rows_by_dict(node, lam,
+                                                                       L.check_partition))
+            assert (repr(node), node.to_json(), node.z_exponent(),
+                    node.vector()) == oracles.node_forms_by_dict(6, m)
+
+
+def _raised(f, *args):
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def test_bijection_errors_match_the_dict_oracle():
+    check = L.check_partition
+    nodes = [
+        (ref_node(), (2.5, 1, 0)),       # non-int lam
+        (ref_node(), (True, True, False)),
+        (C.CrystalNode(2, {(1, 2): 2}), (0, 0)),    # outside membership
+        (C.CrystalNode(3, {(1, 2): 5, (1, 3): 0, (2, 3): 0}), (0, 0, 0)),
+        (C.CrystalNode(3, {(1, 2): 0, (1, 3): 1, (2, 3): 0}), (0, 0, 0)),  # not strict
+        # row 1 is not strict and rows 1 and 2 do not interleave
+        (C.CrystalNode(3, {(1, 2): 1, (1, 3): 1, (2, 3): 0}), (0, 0, 0)),
+    ]
+    for node, lam in nodes:
+        assert (_raised(C.node_to_gt, node, lam)
+                == _raised(oracles.node_to_rows_by_dict, node, lam, check))
+    top = (1, -1, -1)
+    horizontal = ((1, 1, 1, -1), (1, 1, 1, -1))
+    states = [
+        (((-1, 1), (-1, 1)), ((1, -1, -1),)),      # - spin on the bottom boundary
+        (((1, 1, 1), (1, -1, -1), top), horizontal),    # wrong row lengths
+        (((1, 1),), ()),
+        (((1, 1, 1), (-1, 1, 1), top), horizontal),     # bands that do not interleave
+        (((1, 1, 1), (1, 1, -1), (-1, -1, 1)), horizontal),
+    ]
+    for vertical, hrows in states:
+        assert (_raised(C.ice_to_gt, L.IceState(vertical, hrows))
+                == _raised(oracles.ice_to_rows_by_scan, vertical, hrows))
+    patterns = [
+        (((2, 2), (2,)), None),      # not strict
+        (REF_ROWS, 4),               # a grid too narrow for the pattern
+        (((-1,),), None),            # a negative label
+        (((2, 1), (0,)), None),      # strict but not interleaved: no propagation
+    ]
+    for rows, N in patterns:
+        assert (_raised(C.gt_to_ice, C.GTPattern._trusted(rows), N)
+                == _raised(oracles.rows_to_ice_by_scan, rows, N))
+    assert _raised(C.gt_to_ice, C.GTPattern._trusted(((2, 1), (0,))), None) == (
+        ValueError, "spins do not propagate in row 2")
+
+
+def test_rank_memos_stay_within_their_bound():
+    memos = (C._root_order, C._layer_roots, C._flat_roots, C._in_root_order)
+    for memo in memos:
+        memo.cache_clear()
+    for r in range(1, C.RANK_MEMO_MAX + 9):
+        node = C.CrystalNode(r, {root: 0 for root in C._root_order(r)})
+        assert node.vector() == (0,) * (r * (r - 1) // 2)
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize == C.RANK_MEMO_MAX and 0 < info.currsize <= C.RANK_MEMO_MAX
+    # evicted ranks come back unchanged
+    assert C.gt_to_node(ref_pattern()) == ref_node()
+    assert ref_node().vector() == (0, 2, 1)
 
 
 def _assert_rebuilds(x):

@@ -92,6 +92,29 @@ def test_horizontal_rows_propagate_between_bands():
     assert L._horizontal_row((-1, 1, 1), (-1, 1, 1)) is None
 
 
+def test_row_memos_stay_within_their_bound():
+    # 2^13 distinct bands of 13 columns, more than any bound below
+    N = 13
+    labelings = [labels for size in range(N + 1)
+                 for labels in itertools.combinations(range(N - 1, -1, -1), size)]
+    assert len(labelings) == 2 * L.ROW_MEMO_MAX
+    memos = (L._band, L._labels, L._horizontal_row)
+    for memo in memos:
+        memo.cache_clear()
+    top = L._band((12, 10, 3), N)
+    for labels in labelings:
+        band = L._band(labels, N)
+        assert band == oracles.band_by_scan(labels, N)
+        assert L._labels(band, N) == labels
+        assert L._horizontal_row(top, band) == oracles.horizontal_row_by_scan(top, band)
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize == L.ROW_MEMO_MAX and 0 < info.currsize <= L.ROW_MEMO_MAX
+    for i in range(3):
+        assert L._horizontal_row(REF_VERTICAL[i + 1], REF_VERTICAL[i]) \
+            == REF_HORIZONTAL[i]
+
+
 def test_reference_state_enumerated_exactly_for_low_moduli():
     for nq, expected in ((1, True), (2, True), (3, False)):
         sys_ = L.boundary_from_partition((2, 2, 0), 3, 5, nq)
