@@ -1,6 +1,8 @@
 """Command-line front end: state enumeration, partition functions,
-Whittaker values, and the verification suites, with seeded randomized
-modes and machine-readable reports.
+Whittaker values, and the verification suites, with machine-readable
+reports.  Every suite is exact at every nq; `verify rrr` and `verify
+unitarity` also take --mode modular, an opt-in cross-check at seeded
+random points mod a prime that reports its Schwartz-Zippel bound.
 
 Reports are streams of case records {suite, case, params, lhs, rhs,
 verdict, elapsed} rendered as json, csv, or text.  Identical
@@ -126,7 +128,7 @@ def _twist(args, nq):
 
 def _scan(args, nq):
     scan = RV.rrr_scan if args.suite == "rrr" else RV.unitarity_scan
-    rep = scan(nq, args.trials, args.seed, args.prime, args.mode == "modular")
+    rep = scan(nq, args.trials, args.seed, args.prime)
     lhs = {"mode": rep["mode"], "boundaries": rep["boundaries"],
            "failures": [str(f) for f in rep["failures"]]}
     rhs = {"failures": []}
@@ -379,7 +381,7 @@ def build_parser():
 
 def _config_from_args(parser, args):
     """The rules that span several flags; a broken one is a usage error.
-    Fills in the scan suites' defaults."""
+    Fills in the modular scans' trial count."""
     if args.nq is not None and args.n is not None:
         parser.error("--nq overrides the modulus and conflicts with cover "
                      "parameters --n/--b/--c")
@@ -391,27 +393,19 @@ def _config_from_args(parser, args):
         parser.error("ice commands take one --nq entry")
     if args.rank is not None and args.rank < 2:
         parser.error("--rank must be at least 2")
-    if args.mode == "modular" and (args.prime is None or args.seed is None):
-        parser.error("--mode modular requires --prime and --seed")
-    if args.prime is not None and not (args.prime < S.PRIME_TEST_BOUND
-                                       and S.is_prime(args.prime)):
-        parser.error("--prime must be a prime below %d" % S.PRIME_TEST_BOUND)
-    if args.trials is not None and args.trials < 1:
-        parser.error("--trials must be at least 1")
-    if args.suite in ("rrr", "unitarity"):
-        args.nq = args.nq or (1, 2, 3)
-        modular = [q for q in args.nq if q > 1 or args.mode == "modular"]
-        if ((args.mode == "symbolic" or not modular)
-                and (args.prime, args.seed, args.trials) != (None, None, None)):
-            parser.error("--prime/--seed/--trials only apply to modular scans: "
-                         "--mode modular or an --nq entry above 1")
-        if args.mode == "symbolic" and modular:
-            parser.error("symbolic scans support nq = 1 only; use --mode modular")
+    if (args.mode != "modular"
+            and (args.prime, args.seed, args.trials) != (None, None, None)):
+        parser.error("--prime/--seed/--trials only apply to --mode modular")
+    if args.mode == "modular":
+        if args.prime is None or args.seed is None:
+            parser.error("--mode modular requires --prime and --seed")
+        if not (args.prime < S.PRIME_TEST_BOUND and S.is_prime(args.prime)):
+            parser.error("--prime must be a prime below %d" % S.PRIME_TEST_BOUND)
         args.trials = 20 if args.trials is None else args.trials
-        args.seed = S.DEFAULT_SEED if args.seed is None else args.seed
-        args.prime = S.DEFAULT_PRIME if args.prime is None else args.prime
+        if args.trials < 1:
+            parser.error("--trials must be at least 1")
         factors = 3 if args.suite == "rrr" else 2   # crossing weights per term
-        for nq in modular:
+        for nq in args.nq or (1, 2, 3):
             bound = RV._sz_log2_bound(nq, args.trials, factors, args.prime)
             if bound >= SZ_LOG2_MAX:
                 parser.error("--prime %d is too small: failure bound 2^%.1f at nq=%d"

@@ -264,10 +264,16 @@ def _row_completions(north, nq):
             if hrow is not None and _admissible(hrow, nq)]
 
 
-@lru_cache(maxsize=None)
+# bound of the state memo below: a benchmark pass enumerates at most two
+# shapes; Tier-1 meets 303 distinct shapes, reusing none within a test
+ENUM_MEMO_MAX = 16
+
+
+@lru_cache(maxsize=ENUM_MEMO_MAX)
 def _enumerate(top, r, nq):
     """Every state as its bands and rows from the top, one row step per
-    distinct band reached."""
+    distinct band reached.  Memoised for the ENUM_MEMO_MAX most recent
+    shapes."""
     paths = [((top,), ())]
     for _ in range(r):
         below = {north: _row_completions(north, nq) for north in {v[-1] for v, _ in paths}}

@@ -179,21 +179,20 @@ def _ratio(i, j, nq):
 
 
 def check_graded_ybe(nq, rows=(1, 2, 3), matrix_fn=None, graded=True,
-                     trials=8, seed=S.DEFAULT_SEED, p=S.DEFAULT_PRIME):
+                     trials=8, seed=None, p=S.DEFAULT_PRIME):
     """Braid and inversion identities for a crossing matrix in a formal
     parameter.
 
     matrix_fn(z) defaults to kojima_r(z, nq); the crossing at rows (a, b)
     is matrix_fn(z_a/z_b).  The braid identity is checked on the tensor
     cube with Koszul signs in the outer-leg embedding when graded;
-    inversion conjugates by the (graded) swap.  Symbolic for nq = 1, at
-    `trials` random modular points otherwise."""
+    inversion conjugates by the (graded) swap.  Exact at every nq when
+    seed is None; given a seed, at `trials` random points mod p."""
     if matrix_fn is None:
         matrix_fn = lambda z: kojima_r(z, nq)
     results = RV.check_crossings(lambda a, b: matrix_fn(_ratio(a, b, nq)),
-                                 rows, nq, graded, trials, seed,
-                                 None if nq == 1 else p)
-    if nq == 1:
+                                 rows, nq, graded, trials, seed, p)
+    if seed is None:
         (_, braid, inverse), = results
         return {"nq": nq, "rows": rows, "graded": graded,
                 "mode": "symbolic", "ybe_ok": not braid,

@@ -371,25 +371,26 @@ def inversion_product(t12, t21, tau, p=None):
     return mat_mul(t12, mat_mul(tau, mat_mul(t21, tau, p), p), p)
 
 
-def check_crossings(table, rows, nq, graded=False, trials=20,
-                    seed=S.DEFAULT_SEED, p=S.DEFAULT_PRIME):
+def check_crossings(table, rows, nq, graded=False, trials=20, seed=None,
+                    p=S.DEFAULT_PRIME):
     """Braid and inversion identities for crossing matrices.
 
     table(a, b) is the pair-basis matrix of the crossing at strand rows
     (a, b).  For rows = (i, j, k), with legs 1, 2, 3 on rows i, j, k,
     R12 R13 R23 is compared with R23 R13 R12; for rows (i, j) or
     (i, j, k), R12 tau R21 tau is compared with the identity, tau the
-    (graded) swap.  Exact when p is None; otherwise at `trials` modular
-    points drawn from `seed`, each table entry evaluated once per point.
-    Returns one (trial, braid keys, inversion keys) per point, the keys
-    naming the entries where the two sides differ."""
+    (graded) swap.  Exact when seed is None, at every nq; given a seed
+    (0 included), at `trials` points mod the prime p drawn from
+    Random(seed), each table entry evaluated once per point.  Returns
+    one (trial, braid keys, inversion keys) per point, the keys naming
+    the entries where the two sides differ."""
     i, j = rows[:2]
     pairs = [(i, j)] + ([(i, rows[2]), (j, rows[2])] if len(rows) == 3 else [])
     mats = {pair: table(*pair) for pair in pairs + [(j, i)]}
     mats["tau"] = _swap(nq, graded)
     mats["one"] = mat_identity(pair_basis(nq), nq)
-    if p is None:
-        points = [None]
+    if seed is None:
+        points, p = [None], None    # Frac entries: mat_mul works exactly
     else:
         rng = random.Random(seed)
         points = [S.make_assignment(nq, rows, rng.randrange(1 << 62), p)
@@ -477,28 +478,28 @@ def _sz_log2_bound(nq, trials, factors, p=S.DEFAULT_PRIME):
     return trials * math.log2(per_point) if per_point > 0 else float("-inf")
 
 
-def _ice_scan(rows, nq, trials, seed, p, modular):
+def _ice_scan(rows, nq, trials, seed, p):
     """Shared body of rrr_scan (three rows) and unitarity_scan (two).
 
-    Exact at nq = 1 unless modular is set.  A failing braid entry
+    Exact at every nq when seed is None, sampled at `trials` modular
+    points otherwise.  A failing braid entry
     ((gamma, beta, alpha), (phi, eps, dlt)) is the boundary
     (alpha, beta, gamma, phi, eps, dlt); a failing inversion
     entry ((beta, alpha), (dlt, gamma)) is (alpha, beta, gamma, dlt).
     Sorted label tuples list boundaries in product(dv, ...) order."""
-    exact = nq == 1 and not modular
     braid = len(rows) == 3
     dv = decorated_values(nq)
     results = check_crossings(_ice_table(nq), rows, nq, trials=trials,
-                              seed=seed, p=None if exact else p)
+                              seed=seed, p=p)
     failures = []
     for t, braid_keys, inverse_keys in results:
         found = sorted(row[::-1] + (col if braid else col[::-1])
                        for row, col in (braid_keys if braid else inverse_keys))
         for bnd in found:
             bnd = tuple(dv[a] for a in bnd)
-            failures.append(bnd if exact else (t, bnd))
+            failures.append(bnd if seed is None else (t, bnd))
     count = len(results) * (nq + 1) ** (6 if braid else 4)
-    if exact:
+    if seed is None:
         return {"nq": nq, "mode": "symbolic", "boundaries": count,
                 "failures": failures, "ok": not failures}
     return {"nq": nq, "mode": "modular", "points": trials,
@@ -506,21 +507,19 @@ def _ice_scan(rows, nq, trials, seed, p, modular):
             "sz_log2_bound": _sz_log2_bound(nq, trials, 3 if braid else 2, p)}
 
 
-def rrr_scan(nq, trials=20, seed=S.DEFAULT_SEED, p=S.DEFAULT_PRIME,
-             modular=False):
+def rrr_scan(nq, trials=20, seed=None, p=S.DEFAULT_PRIME):
     """Braid identity over every boundary 6-tuple.
 
-    Exact symbolic sums for nq = 1 unless modular is set; otherwise the
-    identity is tested at `trials` random modular points and the report
+    Exact symbolic sums at every nq unless a seed is given; then the
+    identity is tested at `trials` random points mod p and the report
     carries the Schwartz-Zippel failure bound."""
-    return _ice_scan((1, 2, 3), nq, trials, seed, p, modular)
+    return _ice_scan((1, 2, 3), nq, trials, seed, p)
 
 
-def unitarity_scan(nq, trials=20, seed=S.DEFAULT_SEED,
-                   p=S.DEFAULT_PRIME, modular=False):
-    """Inversion over every boundary 4-tuple; symbolic for nq = 1 unless
-    modular is set, modular otherwise."""
-    return _ice_scan((1, 2), nq, trials, seed, p, modular)
+def unitarity_scan(nq, trials=20, seed=None, p=S.DEFAULT_PRIME):
+    """Inversion over every boundary 4-tuple; exact at every nq unless a
+    seed is given, sampled at `trials` modular points otherwise."""
+    return _ice_scan((1, 2), nq, trials, seed, p)
 
 
 # -- scattering on the all-plus sector --------------------------------------
@@ -548,7 +547,7 @@ def check_scattering_involution(i, nq):
     """M(i; s_i z) M(i; z) is the identity on the all-plus sector: the
     all-plus block of the exact inversion product at rows (i, i + 1).
     Failures are ((a, b), (c, d)) charge pairs in sorted order."""
-    (_, _, bad), = check_crossings(_ice_table(nq), (i, i + 1), nq, p=None)
+    (_, _, bad), = check_crossings(_ice_table(nq), (i, i + 1), nq)
     failures = sorted((row[::-1], col[::-1]) for row, col in bad
                       if 0 not in row + col)
     return {"i": i, "nq": nq, "failures": failures, "ok": not failures}

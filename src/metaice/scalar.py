@@ -28,8 +28,6 @@ import random
 
 # default prime for modular identity testing, 2^61 - 1 (Mersenne, = 3 mod 4)
 DEFAULT_PRIME = (1 << 61) - 1
-# default seed for the random modular points
-DEFAULT_SEED = 20260815
 
 
 def _as_quarters(e):

@@ -114,7 +114,7 @@ def test_usage_errors_exit_two(capsys):
         ("verify", "train", "--la", "1,0"),
         ("verify", "rrr", "--mode", "modular", "--seed", "7"),  # no prime
         ("verify", "rrr", "--mode", "symbolic", "--seed", "7"),  # stray seed
-        ("verify", "rrr", "--nq", "2", "--mode", "symbolic"),  # nq > 1
+        ("verify", "rrr", "--nq", "2", "--seed", "7"),  # seed without --mode modular
         ("verify", "thm82", "--lambda", "1,0"),  # no cover
         ("verify", "thm82", "--n", "2", "--b", "1", "--c", "1"),  # no lambda
         ("verify", "thm82", "--lambda", "1,0", "--nq", "2"),  # override
@@ -136,6 +136,9 @@ def test_usage_errors_exit_two(capsys):
         # a modular scan at nq = 1 is bounded too: 2^-9.8 here
         ("verify", "rrr", "--nq", "1", "--mode", "modular",
          "--prime", "101", "--seed", "7"),
+        # 2^-41.8 at nq = 1, but 2^-33.6 at nq = 2
+        ("verify", "rrr", "--nq", "1,2", "--mode", "modular",
+         "--prime", "307", "--seed", "7"),
         # rank 1 has no diagram; rank 0 is not a rank
         ("verify", "thm12", "--rank", "1", "--n", "2", "--b", "1", "--c", "1"),
         ("verify", "prop71", "--rank", "0", "--n", "2"),
@@ -158,6 +161,9 @@ def test_usage_errors_exit_two(capsys):
             cli.main(list(argv))
         assert err.value.code == 2, argv
         capsys.readouterr()
+    # symbolic scans run at every nq
+    code, out = run_cli(capsys, "verify", "rrr", "--nq", "2", "--mode", "symbolic")
+    assert code == 0 and json.loads(out)[0]["lhs"]["mode"] == "symbolic"
 
 
 @pytest.mark.parametrize("argv, refused", [
@@ -215,8 +221,8 @@ def test_parser_is_built_once(capsys, monkeypatch):
 def test_zero_seed_and_trial_count_reach_the_scan(capsys, monkeypatch):
     calls = []
 
-    def spy(nq, trials=20, seed=None, p=None, modular=False):
-        calls.append((nq, trials, seed, p, modular))
+    def spy(nq, trials=20, seed=None, p=None):
+        calls.append((nq, trials, seed, p))
         return {"mode": "modular", "points": trials, "boundaries": 1,
                 "failures": [], "ok": True, "sz_log2_bound": -100.0}
 
@@ -224,7 +230,7 @@ def test_zero_seed_and_trial_count_reach_the_scan(capsys, monkeypatch):
     code, _ = run_cli(capsys, "verify", "rrr", "--nq", "2", *MODULAR,
                       "--seed", "0", "--trials", "1")
     assert code == 0
-    assert calls == [(2, 1, 0, S.DEFAULT_PRIME, True)]
+    assert calls == [(2, 1, 0, S.DEFAULT_PRIME)]
 
 
 def test_prime_just_large_enough_runs(capsys):
@@ -251,13 +257,15 @@ def test_vanished_denominator_is_a_failing_case(capsys, monkeypatch):
 
 
 def test_vanished_denominator_keeps_the_other_cases(capsys, monkeypatch):
+    # at p = 163 and seed 1, 1 - v Z vanishes on the first nq = 2 point
+    # while all 20 nq = 1 points have nonzero denominators
     monkeypatch.setattr(cli, "SZ_LOG2_MAX", float("inf"))
-    code, out = run_cli(capsys, "verify", "rrr", "--nq", "1,2", "--prime", "3",
-                        "--seed", "1")
+    code, out = run_cli(capsys, "verify", "rrr", "--nq", "1,2", "--mode", "modular",
+                        "--prime", "163", "--seed", "1")
     assert code == 1
-    exact, vanished = json.loads(out)
-    assert exact["case"] == "nq=1" and exact["verdict"] == "pass"
-    assert exact["lhs"]["mode"] == "symbolic"
+    passed, vanished = json.loads(out)
+    assert passed["case"] == "nq=1" and passed["verdict"] == "pass"
+    assert passed["lhs"]["mode"] == "modular"
     assert vanished["case"] == "nq=2" and vanished["params"] == {"nq": 2}
     assert vanished["verdict"] == "fail"
     assert vanished["lhs"]["error"].startswith("nq=2, trial 0 of seed 1:")
@@ -307,8 +315,8 @@ def test_reports_are_byte_identical(capsys):
 PINNED_REPORTS = {
     "verify appendix": "add8cfba36665e54177de26e8a4eb42a04bd647353c4d36f4ad243897365b603",
     "verify rtt": "aefa3853b32339b459446234ae9243110bc09d41476410386be20c7dbee3cca4",
-    "verify rrr": "c0b53f3f5d96ae026f9713854cb6f50770cdace2337fa37549f74636c56aea17",
-    "verify unitarity": "9c77fc65594980e9ecc942f827cb01839788776f06989867f67772ce3ce7c727",
+    "verify rrr": "362f2459d8e656ea67a5c4060545ad106e29d3803726c459b5bcbc9573d4d60a",
+    "verify unitarity": "7c4e11be7df302f9bab16b8d956dcee86ceb695f6b1bacc1e59bc4173b356bed",
     "verify twist": "1d1738ed619b1572fd0a5e92202ef617a0c0c1867bab2a2d0e76be4792c6c04d",
     "verify prop71": "600d4447384b8f9cd9963990545f497c8b0470b49d9cd0a11c9088d4f80975a9",
     "verify thm12": "1d44581c289eeefcdbe2cb9fc05c2f0e40cf64f5314078b9def9ea58987f1a0a",

@@ -115,6 +115,19 @@ def test_row_memos_stay_within_their_bound():
             == REF_HORIZONTAL[i]
 
 
+def test_enumeration_memo_stays_within_its_bound():
+    L._enumerate.cache_clear()
+    shapes = [(k, 0) for k in range(2 * L.ENUM_MEMO_MAX)]
+    first = {}
+    # the first shapes are enumerated again after they were dropped
+    for lam in shapes + shapes[:2]:
+        states = L.enumerate_states(L.boundary_from_partition(lam, 2))
+        assert len(states) == len(oracles.enumerate_strict_patterns((lam[0] + 1, 0)))
+        assert first.setdefault(lam, states) == states
+    info = L._enumerate.cache_info()
+    assert info.maxsize == L.ENUM_MEMO_MAX and 0 < info.currsize <= L.ENUM_MEMO_MAX
+
+
 def test_reference_state_enumerated_exactly_for_low_moduli():
     for nq, expected in ((1, True), (2, True), (3, False)):
         sys_ = L.boundary_from_partition((2, 2, 0), 3, 5, nq)
@@ -335,8 +348,10 @@ def test_class_map_is_built_once_and_copied(monkeypatch):
     assert L.partition_function(sys_, c) == piece
     assert L.partition_function(sys_, (9, 9, 9)).is_zero()
     assert L.partition_function(sys_) == total
-    assert L.partition_by_class(sys_) == oracles.partition_classes(sys_, L, S)
+    again = L.partition_by_class(sys_)
+    # counted before the oracle, whose enumeration makes row steps of its own
     assert len(calls) == built
+    assert again == oracles.partition_classes(sys_, L, S)
 
 
 def test_modulus_one_states_have_no_formal_symbols():

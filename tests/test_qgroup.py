@@ -205,19 +205,37 @@ def test_ungraded_braid_fails_without_signature():
     # so the parity signs are doing real work
     rep = Q.check_graded_ybe(1, graded=False)
     assert not rep["ybe_ok"]
+    rep = Q.check_graded_ybe(1, graded=False, trials=2, seed=0)
+    assert {t for t, tag, _key in rep["failures"] if tag == "ybe"} == {0, 1}
 
 
 def test_graded_ybe_modular():
-    rep = Q.check_graded_ybe(2, trials=4)
+    rep = Q.check_graded_ybe(2, trials=4, seed=20260815)
     assert rep["mode"] == "modular"
     assert rep["ok"] and not rep["failures"]
+    # a seed samples at nq = 1 too, and seed 0 is a seed
+    rep = Q.check_graded_ybe(1, trials=1, seed=0)
+    assert rep["mode"] == "modular" and rep["points"] == 1 and rep["ok"]
+
+
+def _twisted(nq):
+    F = Q.twist_f(nq)
+    return lambda z: Q.drinfeld_twist(Q.kojima_r(z, nq), F, nq)
+
+
+@pytest.mark.parametrize("nq", [2, 3])
+def test_exact_and_seeded_graded_ybe_agree(nq):
+    # while both paths exist, the sampled check must reach the exact verdict
+    for matrix_fn in (None, _twisted(nq)):
+        exact = Q.check_graded_ybe(nq, matrix_fn=matrix_fn)
+        sampled = Q.check_graded_ybe(nq, matrix_fn=matrix_fn, seed=nq)
+        assert exact["mode"] == "symbolic" and sampled["mode"] == "modular"
+        assert exact["ok"] and sampled["ok"]
 
 
 @pytest.mark.parametrize("nq", [1, 2])
 def test_twist_preserves_graded_ybe(nq):
-    F = Q.twist_f(nq)
-    fn = lambda z: Q.drinfeld_twist(Q.kojima_r(z, nq), F, nq)
-    rep = Q.check_graded_ybe(nq, matrix_fn=fn, trials=4)
+    rep = Q.check_graded_ybe(nq, matrix_fn=_twisted(nq))
     assert rep["ok"]
 
 
@@ -242,14 +260,20 @@ def test_matrix_json_triplets():
 
 
 def test_perturbed_matrix_failures_keep_trial_and_tag_order():
+    def bend(nq):
+        def bent(z):
+            mat = Q.kojima_r(z, nq)
+            mat[((1, 1), (1, 1))] = mat[((1, 1), (1, 1))] * 2
+            return mat
+        return bent
+
+    for nq in (2, 3):
+        rep = Q.check_graded_ybe(nq, matrix_fn=bend(nq))
+        assert rep["mode"] == "symbolic"
+        assert not rep["ybe_ok"] and not rep["unitarity_ok"]
     nq = 2
-
-    def bent(z):
-        mat = Q.kojima_r(z, nq)
-        mat[((1, 1), (1, 1))] = mat[((1, 1), (1, 1))] * 2
-        return mat
-
-    rep = Q.check_graded_ybe(nq, matrix_fn=bent, trials=2)
-    assert not rep["ybe_ok"] and not rep["unitarity_ok"]
-    order = [(t, tag == "unitarity") for t, tag, _key in rep["failures"]]
-    assert order == sorted(order) and {t for t, _ in order} == {0, 1}
+    for seed in (0, 20260815):
+        rep = Q.check_graded_ybe(nq, matrix_fn=bend(nq), trials=2, seed=seed)
+        assert not rep["ybe_ok"] and not rep["unitarity_ok"]
+        order = [(t, tag == "unitarity") for t, tag, _key in rep["failures"]]
+        assert order == sorted(order) and {t for t, _ in order} == {0, 1}

@@ -311,6 +311,10 @@ def test_unitarity_symbolic_spot_checks_nq2():
 def test_unitarity_modular_scan():
     rep = R.unitarity_scan(2, trials=2, seed=11)
     assert rep["ok"] and rep["sz_log2_bound"] < -40
+    # seed 0 is a seed, not a request for the exact check
+    rep = R.unitarity_scan(2, trials=2, seed=0)
+    assert rep["mode"] == "modular" and rep["points"] == 2 and rep["ok"]
+    assert rep["boundaries"] == 2 * 3 ** 4
 
 
 def _ice_tables(nq, pairs):
@@ -361,7 +365,9 @@ def test_modular_kernel_is_the_exact_kernel_at_a_point():
             assert modular.get(key, 0) == S.eval_frac_mod(w, asg), key
 
 
-def test_perturbed_weight_fails_in_boundary_order(monkeypatch):
+def _bend_r_weight(monkeypatch):
+    """Double the all-(1, 1) crossing weight at rows (1, 2); returns the
+    bent weight function."""
     plain = R.r_weight
 
     def bent(nw, sw, ne, se, rows, nq):
@@ -371,6 +377,11 @@ def test_perturbed_weight_fails_in_boundary_order(monkeypatch):
         return w
 
     monkeypatch.setattr(R, "r_weight", bent)
+    return bent
+
+
+def test_perturbed_weight_fails_in_boundary_order(monkeypatch):
+    bent = _bend_r_weight(monkeypatch)
     for nq in (1, 2):
         dv = R.decorated_values(nq)
         braid = [bnd for bnd in itertools.product(dv, repeat=6)
@@ -381,14 +392,30 @@ def test_perturbed_weight_fails_in_boundary_order(monkeypatch):
         assert braid and inverse
         for scan, want in ((R.rrr_scan, braid), (R.unitarity_scan, inverse)):
             per_point = [(t, bnd) for t in range(2) for bnd in want]
-            rep = scan(nq, trials=2, seed=5)
-            assert rep["failures"] == (want if nq == 1 else per_point)
+            rep = scan(nq)
+            assert rep["mode"] == "symbolic" and rep["failures"] == want
             assert not rep["ok"]
-            if nq == 1:
-                rep = scan(1, trials=2, seed=5, modular=True)
-                assert rep["mode"] == "modular" and rep["failures"] == per_point
+            rep = scan(nq, trials=2, seed=5)
+            assert rep["mode"] == "modular" and rep["failures"] == per_point
+            assert not rep["ok"]
         rep = R.check_scattering_involution(1, nq)
         assert rep["failures"] == [((1, 1), (1, 1))]
+
+
+@pytest.mark.parametrize("nq", [2, 3, 4, 5, 6])
+def test_exact_and_seeded_scans_agree(nq, monkeypatch):
+    # while both paths exist, the sampled check must reach the exact
+    # verdict: on the ice table, and boundary by boundary on a bent one
+    for scan in (R.rrr_scan, R.unitarity_scan):
+        exact, sampled = scan(nq), scan(nq, seed=nq)
+        assert exact["mode"] == "symbolic" and sampled["mode"] == "modular"
+        assert exact["ok"] and sampled["ok"]
+    _bend_r_weight(monkeypatch)
+    for scan in (R.rrr_scan, R.unitarity_scan):
+        exact, sampled = scan(nq), scan(nq, trials=2, seed=nq)
+        assert exact["failures"] and not exact["ok"]
+        assert sampled["failures"] == [(t, bnd) for t in range(2)
+                                       for bnd in exact["failures"]]
 
 
 def test_scattering_involution():
