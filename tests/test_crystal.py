@@ -389,6 +389,29 @@ def test_editing_m_leaves_the_node_unchanged():
     assert built == ref_node() and built.m == REF_M
 
 
+def test_bijections_match_the_dict_oracle():
+    # every criterion-8 shape of rank at most 5, and (1, 0^5)
+    shapes = [lam for r in range(1, 6) for lam in _partitions(r, 7 - r)]
+    shapes.append((1, 0, 0, 0, 0, 0))
+    seen = 0
+    for lam in shapes:
+        r = len(lam)
+        for node in C.crystal_enumerate(lam, r):
+            rows = oracles.node_to_rows_by_dict(node, lam, L.check_partition)
+            pattern = C.node_to_gt(node, lam)
+            assert pattern.rows == rows
+            m = oracles.rows_to_m_by_dict(rows)
+            back = C.gt_to_node(pattern)
+            assert back == node
+            assert list(back.m.items()) == list(m.items())
+            state = C.gt_to_ice(pattern)
+            bands = oracles.rows_to_ice_by_scan(rows)
+            assert (state.vertical, state.horizontal) == bands
+            assert C.ice_to_gt(state).rows == oracles.ice_to_rows_by_scan(*bands) == rows
+            seen += 1
+    assert seen == 102656
+
+
 def test_node_forms_match_the_dict_oracle():
     for lam in ((0,) * 6, (1, 0, 0, 0, 0, 0)):
         for node in C.crystal_enumerate(lam, 6):
