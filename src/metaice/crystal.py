@@ -50,6 +50,14 @@ def _in_root_order(r):
     return itemgetter(*perm) if len(perm) > 1 else tuple
 
 
+@lru_cache(maxsize=RANK_MEMO_MAX)
+def _repr_template(r):
+    """The repr of a rank-r CrystalNode as a format string over its
+    values: the repr of its m dict with each value left as %r."""
+    return "CrystalNode(%d, {%s})" % (
+        r, ", ".join("%r: %%r" % (root,) for root in _flat_roots(r)))
+
+
 # every entry of a row but its first, and but its last
 _tail = itemgetter(slice(1, None))
 _head = itemgetter(slice(None, -1))
@@ -138,7 +146,7 @@ class CrystalNode:
     __hash__ = None
 
     def __repr__(self):
-        return "CrystalNode(%d, %r)" % (self.r, self.m)
+        return _repr_template(self.r) % self.values
 
     def to_json(self):
         return {"longWord": list(_long_word(self.r)),
@@ -157,12 +165,11 @@ class GTPattern:
 
     def __init__(self, rows, strict=True):
         rows = tuple(map(tuple, rows))
-        _check_shape(rows)
-        if set(map(type, chain.from_iterable(rows))) != {int}:
-            raise ValueError("pattern entries must be ints (bool is refused)")
-        _check_interleave(rows)
-        if strict and not _rows_strict(rows):
-            raise ValueError("pattern rows must strictly decrease")
+        # the type test comes before the pair memo: (2.0, 0) == (2, 0)
+        if not (set(map(type, chain.from_iterable(rows))) == {int} and _rows_ok(rows)):
+            error = _pattern_error(rows, strict)
+            if error is not None:
+                raise error
         self.r = len(rows)
         self.rows = rows
 
@@ -199,32 +206,46 @@ def _rows_strict(rows):
                    chain.from_iterable(map(_tail, rows))))
 
 
-def _check_shape(rows):
-    """ValueError unless there is a row and row k has r - k entries."""
+# bound of the pair memo below: a crystal benchmark pass meets 721
+# distinct row pairs, criterion 8 1,086
+PAIR_MEMO_MAX = 4096
+
+
+@lru_cache(maxsize=PAIR_MEMO_MAX)
+def _pair_ok(above, row):
+    """True when row is one entry shorter than above, interleaves under
+    it, above[q + 1] <= row[q] <= above[q], and both rows strictly
+    decrease.  Entries must be ints: the memo cannot tell 2.0 from 2."""
+    return (len(row) == len(above) - 1
+            and all(map(le, above[1:], row)) and all(map(le, row, above))
+            and all(map(gt, above, above[1:])) and all(map(gt, row, row[1:])))
+
+
+def _rows_ok(rows):
+    """True when int rows form a strict pattern: a last row of one
+    entry, and r - 1 consecutive row pairs that pass _pair_ok."""
+    return bool(rows) and len(rows[-1]) == 1 and all(map(_pair_ok, rows, rows[1:]))
+
+
+def _pattern_error(rows, strict=True):
+    """The ValueError naming the first fault of rows, tested in the order
+    row count and lengths, entry types, interleaving (first failing pair
+    of rows), strictness; None when there is none."""
     r = len(rows)
     if r < 1:
-        raise ValueError("pattern needs at least one row")
+        return ValueError("pattern needs at least one row")
     for k, row in enumerate(rows):
         if len(row) != r - k:
-            raise ValueError("row %d must have %d entries" % (k, r - k))
-
-
-def _check_interleave(rows):
-    """ValueError unless a_{k-1,l} <= a_{k,l} <= a_{k-1,l-1} throughout,
-    tested in one pass over rows of the right shape."""
-    below = tuple(chain.from_iterable(rows[1:]))
-    if not (all(map(le, chain.from_iterable(map(_tail, rows)), below))
-            and all(map(le, below, chain.from_iterable(map(_head, rows))))):
-        raise _interleave_error(rows)
-
-
-def _interleave_error(rows):
-    """The ValueError naming the first pair of rows that does not
-    interleave; rows is known to have one."""
-    for k in range(1, len(rows)):
+            return ValueError("row %d must have %d entries" % (k, r - k))
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return ValueError("pattern entries must be ints (bool is refused)")
+    for k in range(1, r):
         above, row = rows[k - 1], rows[k]
         if not (all(map(le, above[1:], row)) and all(map(le, row, above))):
             return ValueError("rows %d and %d do not interleave" % (k - 1, k))
+    if strict and not _rows_strict(rows):
+        return ValueError("pattern rows must strictly decrease")
+    return None
 
 
 class Decoration:
@@ -367,6 +388,26 @@ def coset_piece(I, gamma, lam, cosets):
     return S.Scalar.from_sparse(keep, I.nq)
 
 
+# bound of each per-partition memo below: a crystal benchmark pass meets
+# 2 partitions and 2 top rows, criterion 8 127 partitions and no top row
+PARTITION_MEMO_MAX = 256
+
+
+@lru_cache(maxsize=PARTITION_MEMO_MAX)
+def _checked_top(lam, r):
+    """lam + rho, after the partition check; lam must hold ints, since
+    the memo cannot tell (2.0, 2, 0) or (True, True, False) from ints."""
+    return _top_row(_check_partition(lam, r), r)
+
+
+@lru_cache(maxsize=PARTITION_MEMO_MAX)
+def _lam_from_top(top):
+    """The partition lam whose lam + rho is a pattern's top row, after
+    the partition check; pattern entries are ints."""
+    r = len(top)
+    return _check_partition(tuple(map(sub, top, range(r - 1, -1, -1))), r)
+
+
 def node_to_gt(node, lam):
     """Stack lambda + rho on top and add each layer's node values, in
     order, to the entries up and to the right.  Root values are
@@ -375,10 +416,12 @@ def node_to_gt(node, lam):
     its upper left neighbour (outside membership) and a row that is not
     strict, tested in that order as GTPattern tests them."""
     r = node.r
-    lam = _check_partition(lam, r)
-    if not all(type(a) is int for a in lam):
+    lam = tuple(lam)
+    # before the memo lookup, which equal floats and bools would pass
+    if set(map(type, lam)) != {int}:
+        _check_partition(lam, r)
         raise ValueError("pattern entries must be ints (bool is refused)")
-    above = _top_row(lam, r)
+    above = _checked_top(lam, r)
     rows, values = [above], iter(node.values)
     for _ in range(1, r):
         # map stops at its first exhausted argument, above[1:], so each
@@ -386,11 +429,8 @@ def node_to_gt(node, lam):
         above = tuple(map(add, above[1:], values))
         rows.append(above)
     rows = tuple(rows)
-    if not all(map(le, chain.from_iterable(rows[1:]),
-                   chain.from_iterable(map(_head, rows)))):
-        raise _interleave_error(rows)
-    if not _rows_strict(rows):
-        raise ValueError("pattern rows must strictly decrease")
+    if not _rows_ok(rows):
+        raise _pattern_error(rows)
     return GTPattern._trusted(rows)
 
 
@@ -398,11 +438,6 @@ def gt_to_node(pattern):
     """Row differences read back as root values in _flat_roots order; a
     valid pattern makes each one a nonnegative int."""
     return CrystalNode._trusted(pattern.r, tuple(_root_values(pattern.rows)))
-
-
-def _lam_from_top(pattern):
-    r = pattern.r
-    return _check_partition(tuple(map(sub, pattern.rows[0], range(r - 1, -1, -1))), r)
 
 
 def ice_to_gt(state):
@@ -414,8 +449,8 @@ def ice_to_gt(state):
     if -1 in state.vertical[0]:
         raise ValueError("bottom boundary must carry + spins")
     rows = tuple([L._labels(state.vertical[r - k], N) for k in range(r)])
-    _check_shape(rows)
-    _check_interleave(rows)
+    if not _rows_ok(rows):
+        raise _pattern_error(rows)
     return GTPattern._trusted(rows)
 
 
@@ -425,7 +460,7 @@ def gt_to_ice(pattern, N=None):
     A pattern need not be strict, so strictness is checked here, with
     the width N, nonnegative labels and the propagation."""
     rows = pattern.rows
-    if not _rows_strict(rows):
+    if not (_rows_ok(rows) or _rows_strict(rows)):
         raise ValueError("pattern rows must strictly decrease")
     if N is None:
         N = rows[0][0] + 1
@@ -457,7 +492,7 @@ def gt_bijections(x, lam=None, N=None):
         pattern, ice = ice_to_gt(x), x
     else:
         raise ValueError("expected a CrystalNode, GTPattern or IceState")
-    top = _lam_from_top(pattern)
+    top = _lam_from_top(pattern.rows[0])
     if lam is not None and tuple(lam) != top:
         raise ValueError("lam %r does not match the top row, which gives %r"
                          % (tuple(lam), top))
@@ -482,34 +517,6 @@ def _row_factor(above, row, nq):
             if w.is_zero():
                 return w
     return w
-
-
-def gt_weight(pattern, nq):
-    """Product over below-top entries of the four-way factor of
-    _row_factor, taken one row at a time."""
-    L.check_modulus(nq)
-    total = S.one(nq)
-    for above, row in zip(pattern.rows, pattern.rows[1:]):
-        total = total * _row_factor(above, row, nq)
-        if total.is_zero():
-            return total
-    return total
-
-
-def charge_from_gt(pattern, N):
-    """Unreduced left-edge charges, bottom grid row first:
-    c'_i = N - a_{r-i,r-i} + sum_{j>r-i} (a_{r-i+1,j} - a_{r-i,j})."""
-    r = pattern.r
-    if N < pattern.entry(0, 0) + 1:
-        raise ValueError("need N > the top row maximum")
-    out = []
-    for i in range(1, r + 1):
-        k = r - i
-        c = N - pattern.entry(k, k)
-        for j in range(k + 1, r):
-            c += pattern.entry(k + 1, j) - pattern.entry(k, j)
-        out.append(c)
-    return tuple(out)
 
 
 def verify_thm82(lam, r, N, params):

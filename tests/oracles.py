@@ -495,6 +495,37 @@ def i_lambda_by_nodes(nodes, lam, nq, node_weight, S):
     return total
 
 
+# -- pattern weights and charges -----------------------------------------
+
+def gt_weight(pattern, nq, row_factor, check_modulus, S):
+    """Product over below-top entries of the four-way factor of
+    row_factor, taken one row at a time; the row factor and the modulus
+    check are passed in, since this checks the package's node weight."""
+    check_modulus(nq)
+    total = S.one(nq)
+    for above, row in zip(pattern.rows, pattern.rows[1:]):
+        total = total * row_factor(above, row, nq)
+        if total.is_zero():
+            return total
+    return total
+
+
+def charge_from_gt(pattern, N):
+    """Unreduced left-edge charges, bottom grid row first:
+    c'_i = N - a_{r-i,r-i} + sum_{j>r-i} (a_{r-i+1,j} - a_{r-i,j})."""
+    r = pattern.r
+    if N < pattern.entry(0, 0) + 1:
+        raise ValueError("need N > the top row maximum")
+    out = []
+    for i in range(1, r + 1):
+        k = r - i
+        c = N - pattern.entry(k, k)
+        for j in range(k + 1, r):
+            c += pattern.entry(k + 1, j) - pattern.entry(k, j)
+        out.append(c)
+    return tuple(out)
+
+
 # -- the four bijections through root dicts and per-row scans ---------------
 #
 # The bijections as they were when a node held its values in a dict keyed

@@ -1,6 +1,8 @@
 """Triangular-array model tests: enumeration, decorations, weights,
 bijections with grid states, class pieces, and charge-class identities."""
 
+import itertools
+
 import pytest
 
 from metaice import scalar as S
@@ -50,6 +52,10 @@ def _partitions(r, maxpart):
 
 def _top_row(lam, r):
     return tuple(lam[t] + r - 1 - t for t in range(r))
+
+
+def _gt_weight(pattern, nq):
+    return oracles.gt_weight(pattern, nq, C._row_factor, L.check_modulus, S)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -227,7 +233,7 @@ def test_modulus_must_be_a_positive_int():
         with pytest.raises(ValueError):
             C.node_weight(ref_node(), REF_LAM, nq)
         with pytest.raises(ValueError):
-            C.gt_weight(ref_pattern(), nq)
+            _gt_weight(ref_pattern(), nq)
 
 
 # -- class pieces ------------------------------------------------------------
@@ -267,6 +273,8 @@ def test_pattern_validation():
         C.GTPattern(())
     with pytest.raises(ValueError):
         C.GTPattern(((2, 0), (1, 1)))  # wrong row length
+    with pytest.raises(ValueError, match="row 0 must have 2 entries"):
+        C.GTPattern(((3, 2, 1), (2, 1)))  # rows one entry apart, the last of two
     with pytest.raises(ValueError):
         C.GTPattern(((2, 0), (3,)))  # no interleave
     with pytest.raises(ValueError):
@@ -446,6 +454,7 @@ def test_bijection_errors_match_the_dict_oracle():
     states = [
         (((-1, 1), (-1, 1)), ((1, -1, -1),)),      # - spin on the bottom boundary
         (((1, 1, 1), (1, -1, -1), top), horizontal),    # wrong row lengths
+        (((1, 1, 1), (1, -1, -1), (-1, -1, -1)), horizontal),
         (((1, 1),), ()),
         (((1, 1, 1), (-1, 1, 1), top), horizontal),     # bands that do not interleave
         (((1, 1, 1), (1, 1, -1), (-1, -1, 1)), horizontal),
@@ -467,18 +476,83 @@ def test_bijection_errors_match_the_dict_oracle():
 
 
 def test_rank_memos_stay_within_their_bound():
-    memos = (C._root_order, C._layer_roots, C._flat_roots, C._in_root_order)
+    memos = (C._root_order, C._layer_roots, C._flat_roots, C._in_root_order,
+             C._repr_template)
     for memo in memos:
         memo.cache_clear()
     for r in range(1, C.RANK_MEMO_MAX + 9):
         node = C.CrystalNode(r, {root: 0 for root in C._root_order(r)})
         assert node.vector() == (0,) * (r * (r - 1) // 2)
+        assert repr(node) == oracles.node_forms_by_dict(r, node.m)[0]
     for memo in memos:
         info = memo.cache_info()
         assert info.maxsize == C.RANK_MEMO_MAX and 0 < info.currsize <= C.RANK_MEMO_MAX
     # evicted ranks come back unchanged
     assert C.gt_to_node(ref_pattern()) == ref_node()
     assert ref_node().vector() == (0, 2, 1)
+
+
+def test_warm_memos_still_refuse_equal_non_int_inputs():
+    # (2.0, 2, 0) and (True, True, False) hash and compare equal to int
+    # tuples, so each memo is warmed with the ints before the others come
+    for ints, equal in (((2, 2, 0), (2.0, 2, 0)), ((1, 1, 0), (True, True, False))):
+        node = C.crystal_enumerate(ints, 3)[0]
+        pattern = C.node_to_gt(node, ints)
+        state = C.gt_to_ice(pattern)
+        assert C.gt_bijections(state, lam=ints)["node"] == node
+        assert C.GTPattern(pattern.rows) == C.ice_to_gt(state) == pattern
+        for lam in (equal, list(equal)):
+            with pytest.raises(ValueError, match="must be ints"):
+                C.node_to_gt(node, lam)
+            with pytest.raises(ValueError, match="must be ints"):
+                C.gt_bijections(node, lam=lam)
+    warm = C.GTPattern(((1, 0), (1,)))
+    assert C.gt_bijections(C.gt_to_ice(warm))["pattern"] == warm
+    for rows in (((1.0, 0), (1,)), ((1, 0), (1.0,)), ((True, False), (True,))):
+        with pytest.raises(ValueError, match="must be ints"):
+            C.GTPattern(rows)
+        with pytest.raises(ValueError, match="must be ints"):
+            C.GTPattern(rows, strict=False)
+
+
+def test_pair_and_partition_memos_stay_within_their_bound():
+    # weakly decreasing rows of 3 entries below 10 against every row of
+    # 2: 22,000 distinct pairs, more than twice the bound
+    C._pair_ok.cache_clear()
+    tops = list(itertools.combinations_with_replacement(range(9, -1, -1), 3))
+    pairs = 0
+    for above in tops:
+        strict = len(set(above)) == 3
+        below = {p[1] for p in oracles.enumerate_strict_patterns(above)} if strict else ()
+        for row in itertools.product(range(10), repeat=2):
+            assert C._pair_ok(above, row) == (row in below), (above, row)
+            pairs += 1
+        assert not C._pair_ok(above, above[1:] + (0,))      # a row too long
+    assert pairs > 2 * C.PAIR_MEMO_MAX
+    info = C._pair_ok.cache_info()
+    assert info.maxsize == C.PAIR_MEMO_MAX and 0 < info.currsize <= C.PAIR_MEMO_MAX
+    # partitions of length 3 with parts at most 12: 455 of them
+    memos = (C._checked_top, C._lam_from_top)
+    for memo in memos:
+        memo.cache_clear()
+    lams = list(_partitions(3, 12))
+    assert len(lams) > C.PARTITION_MEMO_MAX
+    zero = C.CrystalNode(3, {root: 0 for root in C._root_order(3)})
+    for lam in lams:
+        top = _top_row(lam, 3)
+        pattern = C.node_to_gt(zero, lam)
+        assert pattern.rows == (top, top[1:], top[2:])
+        assert C.gt_bijections(pattern, lam=lam)["node"] == zero
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize == C.PARTITION_MEMO_MAX
+        assert 0 < info.currsize <= C.PARTITION_MEMO_MAX
+    # evicted entries come back unchanged
+    assert C.node_to_gt(ref_node(), REF_LAM) == ref_pattern()
+    assert C.gt_bijections(ref_pattern())["node"] == ref_node()
+    assert C._pair_ok((9, 8, 7), (8, 7)) and not C._pair_ok((9, 8, 7), (7, 7))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        C.node_to_gt(zero, (0, 1, 0))
 
 
 def _assert_rebuilds(x):
@@ -519,26 +593,26 @@ def test_pattern_weight_matches_node_weight():
             for nd in C.crystal_enumerate(lam, r):
                 pattern = C.node_to_gt(nd, lam)
                 for nq in (1, 2, 3):
-                    assert C.gt_weight(pattern, nq) == C.node_weight(nd, lam, nq)
+                    assert _gt_weight(pattern, nq) == C.node_weight(nd, lam, nq)
 
 
 def test_pattern_weight_reference_values():
     for nq in (1, 2, 3):
         expected = S.gauss_eval(3, -1, nq) * S.gauss_eval(2, 0, nq)
-        assert C.gt_weight(ref_pattern(), nq) == expected
+        assert _gt_weight(ref_pattern(), nq) == expected
 
 
 def test_flat_entry_on_both_sides_kills_the_pattern():
     weak = C.GTPattern(((2, 2), (2,)), strict=False)
     for nq in (1, 2, 3):
-        assert C.gt_weight(weak, nq).is_zero()
+        assert _gt_weight(weak, nq).is_zero()
 
 
 def test_reference_charges():
-    assert C.charge_from_gt(ref_pattern(), 5) == REF_CHARGES
-    assert C.charge_from_gt(C.GTPattern(((0,),)), 1) == (1,)
+    assert oracles.charge_from_gt(ref_pattern(), 5) == REF_CHARGES
+    assert oracles.charge_from_gt(C.GTPattern(((0,),)), 1) == (1,)
     with pytest.raises(ValueError):
-        C.charge_from_gt(ref_pattern(), 4)
+        oracles.charge_from_gt(ref_pattern(), 4)
 
 
 def test_charges_match_grid_left_edges():
@@ -548,7 +622,7 @@ def test_charges_match_grid_left_edges():
             for nd in C.crystal_enumerate(lam, r):
                 pattern = C.node_to_gt(nd, lam)
                 state = C.gt_to_ice(pattern, N)
-                assert C.charge_from_gt(pattern, N) == state.left_charges()
+                assert oracles.charge_from_gt(pattern, N) == state.left_charges()
 
 
 def test_per_state_weight_factorization():
@@ -562,7 +636,7 @@ def test_per_state_weight_factorization():
             if not state.is_admissible(nq):
                 assert weight.is_zero()
                 continue
-            raw = C.charge_from_gt(pattern, N)
+            raw = oracles.charge_from_gt(pattern, N)
             reduced = [L.reduce_charge(x, nq) for x in raw]
             norm = S.z_mono([reduced[t] - raw[t] for t in range(r)], nq)
             assert L.boltzmann_weight(state, nq) == norm * weight
