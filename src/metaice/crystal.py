@@ -388,26 +388,6 @@ def coset_piece(I, gamma, lam, cosets):
     return S.Scalar.from_sparse(keep, I.nq)
 
 
-# bound of each per-partition memo below: a crystal benchmark pass meets
-# 2 partitions and 2 top rows, criterion 8 127 partitions and no top row
-PARTITION_MEMO_MAX = 256
-
-
-@lru_cache(maxsize=PARTITION_MEMO_MAX)
-def _checked_top(lam, r):
-    """lam + rho, after the partition check; lam must hold ints, since
-    the memo cannot tell (2.0, 2, 0) or (True, True, False) from ints."""
-    return _top_row(_check_partition(lam, r), r)
-
-
-@lru_cache(maxsize=PARTITION_MEMO_MAX)
-def _lam_from_top(top):
-    """The partition lam whose lam + rho is a pattern's top row, after
-    the partition check; pattern entries are ints."""
-    r = len(top)
-    return _check_partition(tuple(map(sub, top, range(r - 1, -1, -1))), r)
-
-
 def node_to_gt(node, lam):
     """Stack lambda + rho on top and add each layer's node values, in
     order, to the entries up and to the right.  Root values are
@@ -416,12 +396,10 @@ def node_to_gt(node, lam):
     its upper left neighbour (outside membership) and a row that is not
     strict, tested in that order as GTPattern tests them."""
     r = node.r
-    lam = tuple(lam)
-    # before the memo lookup, which equal floats and bools would pass
-    if set(map(type, lam)) != {int}:
-        _check_partition(lam, r)
+    lam = _check_partition(lam, r)
+    if not all(type(a) is int for a in lam):
         raise ValueError("pattern entries must be ints (bool is refused)")
-    above = _checked_top(lam, r)
+    above = _top_row(lam, r)
     rows, values = [above], iter(node.values)
     for _ in range(1, r):
         # map stops at its first exhausted argument, above[1:], so each
@@ -438,6 +416,11 @@ def gt_to_node(pattern):
     """Row differences read back as root values in _flat_roots order; a
     valid pattern makes each one a nonnegative int."""
     return CrystalNode._trusted(pattern.r, tuple(_root_values(pattern.rows)))
+
+
+def _lam_from_top(pattern):
+    r = pattern.r
+    return _check_partition(tuple(map(sub, pattern.rows[0], range(r - 1, -1, -1))), r)
 
 
 def ice_to_gt(state):
@@ -460,7 +443,7 @@ def gt_to_ice(pattern, N=None):
     A pattern need not be strict, so strictness is checked here, with
     the width N, nonnegative labels and the propagation."""
     rows = pattern.rows
-    if not (_rows_ok(rows) or _rows_strict(rows)):
+    if not _rows_strict(rows):
         raise ValueError("pattern rows must strictly decrease")
     if N is None:
         N = rows[0][0] + 1
@@ -492,7 +475,7 @@ def gt_bijections(x, lam=None, N=None):
         pattern, ice = ice_to_gt(x), x
     else:
         raise ValueError("expected a CrystalNode, GTPattern or IceState")
-    top = _lam_from_top(pattern.rows[0])
+    top = _lam_from_top(pattern)
     if lam is not None and tuple(lam) != top:
         raise ValueError("lam %r does not match the top row, which gives %r"
                          % (tuple(lam), top))
