@@ -460,8 +460,9 @@ def gt_to_ice(pattern, N=None):
 
 def gt_bijections(x, lam=None, N=None):
     """All three forms of one state, keyed node / pattern / ice; a node
-    input needs the partition to fix the top row.  A given lam must match
-    the top row, and a given N the width of a grid input."""
+    input needs the partition to fix the top row.  A given lam must be
+    ints that match the top row, and a given N the width of a grid
+    input."""
     if isinstance(x, CrystalNode):
         if lam is None:
             raise ValueError("a node input needs lam to fix the top row")
@@ -476,9 +477,12 @@ def gt_bijections(x, lam=None, N=None):
     else:
         raise ValueError("expected a CrystalNode, GTPattern or IceState")
     top = _lam_from_top(pattern)
-    if lam is not None and tuple(lam) != top:
-        raise ValueError("lam %r does not match the top row, which gives %r"
-                         % (tuple(lam), top))
+    if lam is not None:
+        if not all(type(a) is int for a in lam):
+            raise ValueError("pattern entries must be ints (bool is refused)")
+        if tuple(lam) != top:
+            raise ValueError("lam %r does not match the top row, which gives %r"
+                             % (tuple(lam), top))
     return {"node": gt_to_node(pattern), "pattern": pattern,
             "ice": gt_to_ice(pattern, N) if ice is None else ice}
 

@@ -106,9 +106,10 @@ class IceState:
     (i = 0 is the bottom row), j = 0 the left boundary edge, j = N the
     right boundary edge.
 
-    The constructor copies its rows into tuples; the package's enumeration
+    The constructor copies its rows into tuples and checks the shape: r
+    rows of N + 1 edges and r + 1 bands of N.  The package's enumeration
     and bijections pass tuples of tuples through _trusted, which skips
-    the copy.
+    the copy and the check.
     """
 
     __slots__ = ["vertical", "horizontal", "r", "N"]
@@ -116,8 +117,13 @@ class IceState:
     def __init__(self, vertical, horizontal):
         self.vertical = tuple(tuple(row) for row in vertical)
         self.horizontal = tuple(tuple(row) for row in horizontal)
-        self.r = len(horizontal)
-        self.N = len(vertical[0])
+        self.r = len(self.horizontal)
+        self.N = len(self.vertical[0]) if self.vertical else 0
+        if (len(self.vertical) != self.r + 1
+                or any(len(band) != self.N for band in self.vertical)
+                or any(len(row) != self.N + 1 for row in self.horizontal)):
+            raise ValueError("a state needs r + 1 bands of N vertical edges "
+                             "under r rows of N + 1 horizontal edges")
 
     @classmethod
     def _trusted(cls, vertical, horizontal):

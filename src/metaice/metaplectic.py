@@ -285,7 +285,7 @@ def prop71_check(ci, cj, params):
     charge-crossing weight.  Equal reduced residues demand the one-term
     identity tau1 + tau2 = z^(-alpha) times the equal-charge weight.
     The check is theorem12_diagram on the rank-2 cover at i = 1, whose
-    identities are these, each multiplied on both sides by a monomial.
+    identities are these with the monomials moved to the tau side.
     """
     n = params.n
     if not (0 < ci <= n and 0 < cj <= n):
@@ -310,8 +310,11 @@ def theorem12_diagram(params, residues, i=1):
     output monomials at the swapped parameters (s_i z)^(-nu) and
     (s_i z)^(-mu) with mu = s_i(nu) + alpha_i.  Route two applies the
     crossing weights at rows (i, i+1) to the label pair and keeps the
-    input monomial z^(-nu).  The verdict compares the coefficient of
-    each output label across the two routes.
+    input monomial z^(-nu).  Both routes are divided by that monomial, a
+    unit, so the verdict compares tau1 z^(nu - s_i nu) with the
+    charge-swap weight and tau2 z^(nu - s_i mu) = tau2 z^(alpha_i) with
+    the charge-crossing weight; for equal reduced residues, their sum
+    with the equal-charge weight.
     """
     r = params.r
     if r < 2:
@@ -329,28 +332,25 @@ def theorem12_diagram(params, residues, i=1):
     nu = [r - 1 - k - label[k] for k in range(r)]
     lead = tau(tuple(nu), i, params)
     refl = tau(lead.target2, i, params)
-    si_nu = list(nu)
-    si_nu[i - 1], si_nu[i] = nu[i], nu[i - 1]
-    si_mu = list(nu)
-    si_mu[i - 1] -= 1
-    si_mu[i] += 1
-    pre_nu = S.z_mono([-e for e in si_nu], nq)
-    pre_mu = S.z_mono([-e for e in si_mu], nq)
-    base = S.z_mono([-e for e in nu], nq)
+    # nu - s_i nu is (nu_i - nu_{i+1}) alpha_i, and nu - s_i mu is alpha_i
+    alpha = [0] * r
+    alpha[i - 1], alpha[i] = 1, -1
+    by_nu = S.z_mono([(nu[i - 1] - nu[i]) * e for e in alpha], nq)
+    by_mu = S.z_mono(alpha, nq)
     a, b = label[i - 1], label[i]
     if a != b:
         swap_wt = RV.r_weight((1, b), (1, a), (1, b), (1, a), (i, i + 1), nq)
         cross_wt = RV.r_weight((1, b), (1, a), (1, a), (1, b), (i, i + 1), nq)
         checks = [
-            S.frac_eq(lead.tau1 * pre_nu, swap_wt * base),
-            S.frac_eq(refl.tau2 * pre_mu, cross_wt * base),
+            S.frac_eq(lead.tau1 * by_nu, swap_wt),
+            S.frac_eq(refl.tau2 * by_mu, cross_wt),
         ]
         branch = "two-term"
     else:
         equal_wt = RV.r_weight((1, a), (1, a), (1, a), (1, a),
                                (i, i + 1), nq)
-        total = lead.tau1 * pre_nu + refl.tau2 * pre_mu
-        checks = [S.frac_eq(total, equal_wt * base)]
+        total = lead.tau1 * by_nu + refl.tau2 * by_mu
+        checks = [S.frac_eq(total, equal_wt)]
         branch = "one-term"
     return {
         "params": params.to_json(),

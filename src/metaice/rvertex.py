@@ -133,7 +133,8 @@ def r_weight(nw, sw, ne, se, rows, nq):
 
 class CrossingTable:
     """The nonzero crossing weights and decorated grid vertices at one
-    strand-row pair, as check_rtt walks them.
+    strand-row pair, as check_rtt walks them.  Only the crossings of
+    crossing_support are weighed.
 
     den is 1 - v (z_i/z_j)^nq.  by_in maps the input legs (NW, SW) to
     (NE, SE, numerator) triples, NE outer and SE inner in
@@ -150,7 +151,8 @@ class CrossingTable:
         self.den = r_denominator(rows, nq)
         self.by_in = {}
         self.by_out = {}
-        for nw, sw, ne, se in product(dv, repeat=4):
+        for (a, b), (c, d) in crossing_support(nq):
+            nw, sw, ne, se = dv[a], dv[b], dv[c], dv[d]
             w = r_weight(nw, sw, ne, se, rows, nq)
             if not w.is_zero():
                 self.by_in.setdefault((nw, sw), []).append((ne, se, w.num))
@@ -263,6 +265,18 @@ def pair_basis(nq):
     return [(a, b) for a in labels(nq) for b in labels(nq)]
 
 
+def crossing_support(nq):
+    """Where a crossing weight can be nonzero: the label pairs
+    ((a, b), (c, d)) with (c, d) = (a, b) or (b, a), the input spins
+    kept or swapped.  Read as NW = a, SW = b, NE = c, SE = d; since the
+    set {(a, b), (b, a)} is closed under swapping, it also lists the
+    entries with NE = d, SE = c that ice_r_matrix keys.  Lists the
+    (nq + 1)(2 nq + 1) of (nq + 1)^4 entries in the order two nested
+    loops over pair_basis(nq) meet them, so NE outer and SE inner."""
+    return [(ab, cd) for ab in pair_basis(nq)
+            for cd in sorted({ab, ab[::-1]})]
+
+
 def mat_mul(first, second, p=None):
     """Composition: apply `second`, then `first`.  Exact Frac arithmetic
     when p is None, ints mod the prime p otherwise."""
@@ -345,14 +359,14 @@ def _swap(nq, graded):
 def ice_r_matrix(nq, rows=(1, 2)):
     """The ice crossing table as a matrix on the pair basis: the entry
     at ((alpha, beta), (gamma, delta)) is the crossing weight with
-    NW = alpha, SW = beta, NE = delta, SE = gamma."""
+    NW = alpha, SW = beta, NE = delta, SE = gamma.  Only the entries of
+    crossing_support are weighed; they come in pair_basis order."""
     dv = decorated_values(nq)
     mat = {}
-    for alpha, beta in pair_basis(nq):
-        for gamma, delta in pair_basis(nq):
-            w = r_weight(dv[alpha], dv[beta], dv[delta], dv[gamma], rows, nq)
-            if not w.is_zero():
-                mat[((alpha, beta), (gamma, delta))] = w
+    for (alpha, beta), (gamma, delta) in crossing_support(nq):
+        w = r_weight(dv[alpha], dv[beta], dv[delta], dv[gamma], rows, nq)
+        if not w.is_zero():
+            mat[((alpha, beta), (gamma, delta))] = w
     return mat
 
 
@@ -530,16 +544,13 @@ def scattering_matrix(i, nq):
     Entry [(a, b)][(c, d)] is the crossing weight taking bottom/top left
     charges (a, b) to bottom/top right charges (c, d)."""
     out = {}
-    for a in range(1, nq + 1):
-        for b in range(1, nq + 1):
-            row = {}
-            for c in range(1, nq + 1):
-                for d in range(1, nq + 1):
-                    w = r_weight((1, b), (1, a), (1, d), (1, c),
-                                 (i, i + 1), nq)
-                    if not w.is_zero():
-                        row[(c, d)] = w
-            out[(a, b)] = row
+    for (a, b), (c, d) in crossing_support(nq):
+        if 0 in (a, b):
+            continue
+        w = r_weight((1, b), (1, a), (1, d), (1, c), (i, i + 1), nq)
+        row = out.setdefault((a, b), {})
+        if not w.is_zero():
+            row[(c, d)] = w
     return out
 
 

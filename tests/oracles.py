@@ -343,6 +343,36 @@ def row_completions_by_vertices(north, bottom_row, nq):
     return results
 
 
+# -- dense crossing tables ----------------------------------------------------
+
+def crossing_table_dense(rows, nq, R):
+    """The by_in and by_out maps of R.CrossingTable by the dense loop:
+    R.r_weight at all (nq + 1)^4 leg tuples in product order (NW, SW,
+    NE, SE), zeros dropped."""
+    dv = R.decorated_values(nq)
+    by_in, by_out = {}, {}
+    for nw, sw, ne, se in itertools.product(dv, repeat=4):
+        w = R.r_weight(nw, sw, ne, se, rows, nq)
+        if not w.is_zero():
+            by_in.setdefault((nw, sw), []).append((ne, se, w.num))
+            by_out.setdefault((ne, se), []).append((nw, sw, w.num))
+    return by_in, by_out
+
+
+def ice_r_matrix_dense(nq, rows, R):
+    """R.ice_r_matrix by the dense loop over every pair of pair-basis
+    labels: the entry at ((alpha, beta), (gamma, delta)) is the crossing
+    weight with NW = alpha, SW = beta, NE = delta, SE = gamma."""
+    dv = R.decorated_values(nq)
+    mat = {}
+    for alpha, beta in R.pair_basis(nq):
+        for gamma, delta in R.pair_basis(nq):
+            w = R.r_weight(dv[alpha], dv[beta], dv[delta], dv[gamma], rows, nq)
+            if not w.is_zero():
+                mat[((alpha, beta), (gamma, delta))] = w
+    return mat
+
+
 # -- dense two-row exchange tables -------------------------------------------
 
 def rtt_tables_dense(boundary, nq, rows, R, S):

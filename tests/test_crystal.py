@@ -359,6 +359,15 @@ def test_bijections_reject_what_their_input_does_not_imply():
     for lam in ((2.5, 1, 0), (2.0, 2, 0), (True, True, False)):
         with pytest.raises(ValueError, match="must be ints"):
             C.node_to_gt(ref_node(), lam)
+    # a pattern or a state fixes lam = (2, 2, 0) itself; an equal non-int
+    # lam is refused as the node path refuses it
+    pattern = C.GTPattern(((4, 3, 0), (4, 2), (2,)))
+    node = C.gt_to_node(pattern)
+    for form in (node, pattern, C.gt_to_ice(pattern)):
+        assert C.gt_bijections(form, lam=(2, 2, 0))["pattern"] == pattern
+        for lam in ((2.0, 2, 0), (2, 2.0, 0.0), (2.5, 1, 0)):
+            with pytest.raises(ValueError, match="must be ints"):
+                C.gt_bijections(form, lam=lam)
     with pytest.raises(ValueError, match="strictly decrease"):
         C.gt_to_ice(C.GTPattern(((2, 2), (2,)), strict=False))
     top = (1, -1, -1)   # labels (1, 0)

@@ -75,6 +75,24 @@ def test_reference_state_charges_and_kinds():
     assert st.left_charges(2) == (1, 1, 2)
 
 
+def test_state_constructor_checks_the_shape():
+    state = ref_state()
+    assert (state.r, state.N) == (3, 5)
+    bad = [
+        ((), ()),                                    # no bands at all
+        (((1, 1),), ((1, 1, -1),)),                  # r + 1 = 2 bands wanted
+        (REF_VERTICAL[:-1], REF_HORIZONTAL),         # a band short
+        (REF_VERTICAL, REF_HORIZONTAL[:-1]),         # a row short
+        (REF_VERTICAL[:-1] + (REF_VERTICAL[-1][:-1],), REF_HORIZONTAL),
+        (REF_VERTICAL, REF_HORIZONTAL[:-1] + (REF_HORIZONTAL[-1] + (1,),)),
+    ]
+    for vertical, horizontal in bad:
+        with pytest.raises(ValueError, match="r \\+ 1 bands"):
+            L.IceState(vertical, horizontal)
+    # the trusted path, which the enumeration uses, does not check
+    assert L.IceState._trusted(((1, 1),), ((1, 1, -1),)).r == 1
+
+
 def test_reference_state_admissibility_by_modulus():
     st = ref_state()
     assert st.is_admissible(1)

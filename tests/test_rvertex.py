@@ -88,6 +88,68 @@ def test_weight_malformed_decorations_vanish():
     assert R.r_weight((-1, 1), (1, 1), (1, 1), (-1, 1), (1, 2), nq).is_zero()
 
 
+# -- the charge-conserving support -------------------------------------------
+
+SUPPORT_ROWS = ((1, 2), (2, 1), (1, 3), (2, 3), (3, 5))
+
+
+def test_support_is_the_set_of_nonzero_weights():
+    for nq in range(1, 8):
+        dv = R.decorated_values(nq)
+        support = R.crossing_support(nq)
+        assert len(support) == len(set(support)) == (nq + 1) * (2 * nq + 1)
+        legs = {(dv[a], dv[b], dv[c], dv[d]) for (a, b), (c, d) in support}
+        for rows in SUPPORT_ROWS:
+            by_in, _ = oracles.crossing_table_dense(rows, nq, R)
+            nonzero = {(nw, sw, ne, se) for (nw, sw), outs in by_in.items()
+                       for ne, se, _ in outs}
+            assert nonzero == legs, (nq, rows)
+
+
+@pytest.mark.parametrize("nq", [1, 2, 3, 4, 5])
+def test_crossing_tables_match_the_dense_build(nq):
+    # entry for entry and in the same order: by_in and by_out lists, the
+    # keys of both maps, and the ice matrix
+    for rows in SUPPORT_ROWS:
+        table = R.CrossingTable(rows, nq)
+        by_in, by_out = oracles.crossing_table_dense(rows, nq, R)
+        assert list(table.by_in.items()) == list(by_in.items()), rows
+        assert list(table.by_out.items()) == list(by_out.items()), rows
+        got, want = R.ice_r_matrix(nq, rows), oracles.ice_r_matrix_dense(nq, rows, R)
+        assert list(got) == list(want), rows
+        for key, w in want.items():
+            assert _same_frac(got[key], w), (rows, key)
+    for i in (1, 2):
+        want = oracles.ice_r_matrix_dense(nq, (i, i + 1), R)
+        mat = R.scattering_matrix(i, nq)
+        assert list(mat) == [(a, b) for a, b in R.pair_basis(nq) if a and b]
+        for (a, b), row in mat.items():
+            block = [(c, d) for (ab, (c, d)) in want if ab == (b, a) and c and d]
+            assert list(row) == block, (a, b)
+            for (c, d), w in row.items():
+                assert _same_frac(w, want[((b, a), (c, d))])
+
+
+def test_builders_weigh_only_the_support(monkeypatch):
+    calls = []
+    plain = R.r_weight
+
+    def spy(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(R, "r_weight", spy)
+    for nq in range(1, 7):
+        size = (nq + 1) * (2 * nq + 1)
+        for build in (lambda: R.ice_r_matrix(nq, (1, 2)),
+                      lambda: R.CrossingTable((2, 1), nq)):
+            R._R_MEMO.clear()
+            calls.clear()
+            build()
+            assert len(calls) == len(set(calls)) == size, nq
+            assert len(R._R_MEMO) == size, nq
+
+
 # -- decorated grid vertices --------------------------------------------------
 
 def test_grid_vertex_weight_matches_plain_table():
@@ -204,15 +266,30 @@ def test_rtt_perturbed_weight_fails_like_the_oracle(monkeypatch):
         R.crossing_table.cache_clear()
 
 
+class _CountingMemo(dict):
+    """A dict that counts how often it is emptied."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
 def test_caches_stay_within_their_bounds(monkeypatch):
-    monkeypatch.setattr(R, "_R_MEMO_MAX", 500)
-    R._R_MEMO.clear()
+    # the (1, 2) tables at nq 1-6 weigh 6 + 15 + ... + 91 = 251 distinct
+    # crossings; at a cap of 64 the memo must be emptied at least three
+    # times to take them all
+    memo = _CountingMemo()
+    monkeypatch.setattr(R, "_R_MEMO", memo)
+    monkeypatch.setattr(R, "_R_MEMO_MAX", 64)
     R.crossing_table.cache_clear()
     for _ in range(2):
         for nq in range(1, 7):
             assert R.rtt_scan(nq)["ok"]
             assert R.appendix_regression(nq)["ok"]
-            assert len(R._R_MEMO) <= 500
+            assert len(memo) <= 64
+    assert memo.clears >= 3
     assert R.crossing_table.cache_info().currsize == 6
     # more (rows, nq) pairs than the table cache holds
     for i in range(1, 20):
