@@ -393,6 +393,8 @@ def _config_from_args(parser, args):
         parser.error("ice commands take one --nq entry")
     if args.rank is not None and args.rank < 2:
         parser.error("--rank must be at least 2")
+    if args.suite == "train" and args.lam is not None and len(args.lam) < 2:
+        parser.error("train needs a --lambda of at least two parts")
     if (args.mode != "modular"
             and (args.prime, args.seed, args.trials) != (None, None, None)):
         parser.error("--prime/--seed/--trials only apply to --mode modular")

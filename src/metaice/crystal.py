@@ -8,6 +8,7 @@ the generating sum reproduce the grid partition functions per left-edge
 charge class after a fixed monomial normalization.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import add, gt, itemgetter, le, sub
@@ -17,45 +18,31 @@ from . import lattice as L
 from . import metaplectic as MP
 
 
-# bound of each rank-keyed layout memo below; an entry holds r(r-1)/2 roots
+# bound of the rank-keyed layout memo below; an entry holds r(r-1)/2 roots
 RANK_MEMO_MAX = 32
 
-
-@lru_cache(maxsize=RANK_MEMO_MAX)
-def _root_order(r):
-    return tuple((i, j) for i in range(1, r) for j in range(i + 1, r + 1))
+_Layout = namedtuple("_Layout", "roots layers flat in_root_order repr_template")
 
 
 @lru_cache(maxsize=RANK_MEMO_MAX)
-def _layer_roots(r):
-    """The one root <-> entry map: for k = 1..r-1, the roots fixed between
-    array rows k - 1 and k, in column order.  Entry q of row k gives
-    m_{r-k-q, r-k+1} = a_{k,k+q} - a_{k-1,k+q} = row[q] - above[q + 1]."""
-    return tuple(tuple((r - k - q, r - k + 1) for q in range(r - k))
-                 for k in range(1, r))
-
-
-@lru_cache(maxsize=RANK_MEMO_MAX)
-def _flat_roots(r):
-    """The _layer_roots roots, layer after layer: the order in which a
-    CrystalNode holds its values."""
-    return tuple(chain.from_iterable(_layer_roots(r)))
-
-
-@lru_cache(maxsize=RANK_MEMO_MAX)
-def _in_root_order(r):
-    """A function taking layer-order values to a tuple in root order."""
-    perm = [_flat_roots(r).index(root) for root in _root_order(r)]
+def _layout(r):
+    """The rank-r root layout.  roots: the positive roots in root order.
+    layers: the one root <-> entry map; for k = 1..r-1, the roots fixed
+    between array rows k - 1 and k, entry q of row k giving
+    m_{r-k-q, r-k+1} = row[q] - above[q + 1].  flat: the layers joined,
+    the order in which a CrystalNode holds its values.  in_root_order:
+    flat-order values to a tuple in root order.  repr_template: a node's
+    repr as a format string over its values."""
+    roots = tuple((i, j) for i in range(1, r) for j in range(i + 1, r + 1))
+    layers = tuple(tuple((r - k - q, r - k + 1) for q in range(r - k))
+                   for k in range(1, r))
+    flat = tuple(chain.from_iterable(layers))
+    perm = [flat.index(root) for root in roots]
     # itemgetter of one index returns the item, not a 1-tuple
-    return itemgetter(*perm) if len(perm) > 1 else tuple
-
-
-@lru_cache(maxsize=RANK_MEMO_MAX)
-def _repr_template(r):
-    """The repr of a rank-r CrystalNode as a format string over its
-    values: the repr of its m dict with each value left as %r."""
-    return "CrystalNode(%d, {%s})" % (
-        r, ", ".join("%r: %%r" % (root,) for root in _flat_roots(r)))
+    in_root_order = itemgetter(*perm) if len(perm) > 1 else tuple
+    template = "CrystalNode(%d, {%s})" % (
+        r, ", ".join("%r: %%r" % (root,) for root in flat))
+    return _Layout(roots, layers, flat, in_root_order, template)
 
 
 # every entry of a row but its first, and but its last
@@ -68,7 +55,7 @@ def _top_row(lam, r):
 
 
 def _root_values(rows):
-    """Values of the _layer_roots roots, layer after layer, read off
+    """Values of the _layout layers roots, layer after layer, read off
     consecutive array rows (a whole array, or a row and the row under
     it): row[q] - above[q + 1]."""
     return map(sub, chain.from_iterable(rows[1:]),
@@ -92,7 +79,7 @@ def _check_partition(lam, r):
 class CrystalNode:
     """Nonnegative integer on every positive root (i, j), i < j <= r,
     listed against the fixed reduced word.  The values are held as one
-    tuple in _flat_roots order, layer after layer of the triangular
+    tuple in _layout flat order, layer after layer of the triangular
     array, and m is a read-only view: each read builds a fresh dict
     {root: value} in that order, so editing it leaves the node as it
     was.  The constructor validates its arguments; the package's
@@ -105,7 +92,7 @@ class CrystalNode:
         if r < 1:
             raise ValueError("rank must be a positive integer")
         m = dict(m)
-        roots = _flat_roots(r)
+        roots = _layout(r).flat
         if m.keys() != set(roots):
             raise ValueError("m must assign exactly the roots (i, j), 1 <= i < j <= %d" % r)
         if not all(type(v) is int and v >= 0 for v in m.values()):
@@ -115,7 +102,7 @@ class CrystalNode:
 
     @classmethod
     def _trusted(cls, r, values):
-        """A node from a tuple of values, in _flat_roots order, known to
+        """A node from a tuple of values, in _layout flat order, known to
         be valid for rank r."""
         node = object.__new__(cls)
         node.r = r
@@ -124,17 +111,17 @@ class CrystalNode:
 
     @property
     def m(self):
-        """A fresh dict {root: value} in _flat_roots order."""
-        return dict(zip(_flat_roots(self.r), self.values))
+        """A fresh dict {root: value} in _layout flat order."""
+        return dict(zip(_layout(self.r).flat, self.values))
 
     def vector(self):
-        return _in_root_order(self.r)(self.values)
+        return _layout(self.r).in_root_order(self.values)
 
     def z_exponent(self):
         """Exponent vector of the node monomial: root (i, j) adds its
         value to slot i and subtracts it from slot j; entries sum to 0."""
         p = [0] * self.r
-        for (i, j), m in zip(_flat_roots(self.r), self.values):
+        for (i, j), m in zip(_layout(self.r).flat, self.values):
             p[i - 1] += m
             p[j - 1] -= m
         return tuple(p)
@@ -146,11 +133,11 @@ class CrystalNode:
     __hash__ = None
 
     def __repr__(self):
-        return _repr_template(self.r) % self.values
+        return _layout(self.r).repr_template % self.values
 
     def to_json(self):
         return {"longWord": list(_long_word(self.r)),
-                "m": [[i, j, m] for (i, j), m in zip(_root_order(self.r), self.vector())]}
+                "m": [[i, j, m] for (i, j), m in zip(_layout(self.r).roots, self.vector())]}
 
 
 class GTPattern:
@@ -292,7 +279,7 @@ def crystal_enumerate(lam, r):
             nxt += [(row, values + step) for row, step in steps[above]]
         prefixes = nxt
     found = [values for _, values in prefixes]
-    found.sort(key=_in_root_order(r))
+    found.sort(key=_layout(r).in_root_order)
     return [CrystalNode._trusted(r, values) for values in found]
 
 
@@ -311,7 +298,7 @@ def root_data(node, lam):
             tail[(i, k)] = acc
     col = {}  # m summed over (k, j), k <= i
     out = {}
-    for (i, j) in _root_order(r):
+    for (i, j) in _layout(r).roots:
         col[(i, j)] = col.get((i - 1, j), 0) + m[(i, j)]
         # the bound lam_{r-i} - lam_{r-i+1} plus the tail of row i + 1 past column j
         slack = lam[r - i - 1] - lam[r - i] + tail.get((i + 1, j + 1), 0) - tail[(i, j)]
@@ -328,7 +315,7 @@ def node_weight(node, lam, nq):
     L.check_modulus(nq)
     data = root_data(node, lam)
     w = S.one(nq)
-    for ij in _root_order(node.r):
+    for ij in _layout(node.r).roots:
         col, slack, dec = data[ij]
         if dec.circled and dec.boxed:
             return S.zero(nq)
@@ -343,8 +330,8 @@ def i_lambda(lam, r, nq):
     """Generating sum over all nodes of weight times node monomial, by the
     lattice row transfer down the triangular array from the top row
     lam + rho, untagged.  A row's weight is _row_factor times the monomial
-    in which each root (i, j) of _layer_roots adds its value to z_i and
-    subtracts it from z_j."""
+    in which each root (i, j) of the _layout layers adds its value to z_i
+    and subtracts it from z_j."""
     lam = _check_partition(lam, r)
     L.check_modulus(nq)
 
@@ -356,7 +343,7 @@ def i_lambda(lam, r, nq):
                 zex[j - 1] -= m
             yield row, (), _row_factor(above, row, nq) * S.z_mono(zex, nq)
 
-    layer = L._transfer(_top_row(lam, r), _layer_roots(r), step, nq)
+    layer = L._transfer(_top_row(lam, r), _layout(r).layers, step, nq)
     return sum((classes[()] for classes in layer.values()), S.zero(nq))
 
 
@@ -390,15 +377,14 @@ def coset_piece(I, gamma, lam, cosets):
 
 def node_to_gt(node, lam):
     """Stack lambda + rho on top and add each layer's node values, in
-    order, to the entries up and to the right.  Root values are
-    nonnegative ints, so every entry is an int at least its upper right
-    neighbour; what is left to reject is a non-int lam, an entry above
-    its upper left neighbour (outside membership) and a row that is not
-    strict, tested in that order as GTPattern tests them."""
+    order, to the entries up and to the right.  Root values and lam
+    (check_partition) are ints, root values nonnegative, so every entry
+    is an int at least its upper right neighbour; what is left to reject
+    is an entry above its upper left neighbour (outside membership) and
+    a row that is not strict, tested in that order as GTPattern tests
+    them."""
     r = node.r
     lam = _check_partition(lam, r)
-    if not all(type(a) is int for a in lam):
-        raise ValueError("pattern entries must be ints (bool is refused)")
     above = _top_row(lam, r)
     rows, values = [above], iter(node.values)
     for _ in range(1, r):
@@ -413,7 +399,7 @@ def node_to_gt(node, lam):
 
 
 def gt_to_node(pattern):
-    """Row differences read back as root values in _flat_roots order; a
+    """Row differences read back as root values in _layout flat order; a
     valid pattern makes each one a nonnegative int."""
     return CrystalNode._trusted(pattern.r, tuple(_root_values(pattern.rows)))
 
@@ -460,9 +446,9 @@ def gt_to_ice(pattern, N=None):
 
 def gt_bijections(x, lam=None, N=None):
     """All three forms of one state, keyed node / pattern / ice; a node
-    input needs the partition to fix the top row.  A given lam must be
-    ints that match the top row, and a given N the width of a grid
-    input."""
+    input needs the partition to fix the top row.  A given lam must be a
+    partition that matches the top row, and a given N the width of a
+    grid input."""
     if isinstance(x, CrystalNode):
         if lam is None:
             raise ValueError("a node input needs lam to fix the top row")
@@ -478,11 +464,10 @@ def gt_bijections(x, lam=None, N=None):
         raise ValueError("expected a CrystalNode, GTPattern or IceState")
     top = _lam_from_top(pattern)
     if lam is not None:
-        if not all(type(a) is int for a in lam):
-            raise ValueError("pattern entries must be ints (bool is refused)")
-        if tuple(lam) != top:
+        lam = _check_partition(lam, pattern.r)
+        if lam != top:
             raise ValueError("lam %r does not match the top row, which gives %r"
-                             % (tuple(lam), top))
+                             % (lam, top))
     return {"node": gt_to_node(pattern), "pattern": pattern,
             "ice": gt_to_ice(pattern, N) if ice is None else ice}
 

@@ -51,12 +51,15 @@ def vertex_weight(north, south, west, east, east_charge, row, nq):
 
 
 def check_partition(lam, r):
-    """lam as a tuple; ValueError unless it is a partition of length r."""
+    """lam as a tuple; ValueError unless it is a partition of length r
+    with int entries (bool refused), tested in that order."""
     lam = tuple(lam)
     if len(lam) != r:
         raise ValueError("partition length %d does not match r=%d" % (len(lam), r))
     if any(map(lt, lam, repeat(0))) or any(map(lt, lam, lam[1:])):
         raise ValueError("lambda must be weakly decreasing and nonnegative")
+    if not all(type(a) is int for a in lam):
+        raise ValueError("lambda entries must be ints (bool is refused)")
     return lam
 
 

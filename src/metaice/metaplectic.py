@@ -236,11 +236,10 @@ def tau(mu, i, params):
 
     The pairing value on the coroot is b*(mu_i - mu_{i+1}), so its ratio
     to Q(alpha) = b is the plain difference d = mu_i - mu_{i+1} and stays
-    meaningful when b = 0; a vanishing Q with a nonzero pairing value is
-    rejected, but cannot occur for integer coweights.  tau1 is
-    (1-v) z^(k alpha) / (1 - v Z) with k = (-d) mod n_Q; tau2 is
-    g(1-d) z^(-alpha) (1 - Z) / (1 - v Z), the Gauss argument b(1-d)
-    collapsed through the n_Q-periodic symbol; Z = (z_i/z_{i+1})^n_Q.
+    meaningful when b = 0.  tau1 is (1-v) z^(k alpha) / (1 - v Z) with
+    k = (-d) mod n_Q; tau2 is g(1-d) z^(-alpha) (1 - Z) / (1 - v Z), the
+    Gauss argument b(1-d) collapsed through the n_Q-periodic symbol;
+    Z = (z_i/z_{i+1})^n_Q (rvertex.crossing_z).
     """
     r = params.r
     if not 1 <= i < r:
@@ -248,10 +247,6 @@ def tau(mu, i, params):
     if len(mu) != r:
         raise ValueError("coweight length must match the rank")
     d = mu[i - 1] - mu[i]
-    q_val = params.b
-    pairing = q_val * d
-    if q_val == 0 and pairing != 0:
-        raise ValueError("pairing value nonzero while Q vanishes")
     nq = params.nq
     tau1, tau2 = _tau_fracs(d % nq, i, nq)
     target2 = list(mu)
@@ -264,9 +259,7 @@ def _tau_fracs(d, i, nq):
     """tau1 and tau2 at pairing difference d, which they see only mod
     nq.  Cached, holding at most 256 pairs (least recently used dropped
     first)."""
-    one = S.one(nq)
-    v = S.v_pow(1, nq)
-    big_z = S.z_pow(i, nq, nq) * S.z_pow(i + 1, -nq, nq)
+    one, v, big_z = S.one(nq), S.v_pow(1, nq), RV.crossing_z((i, i + 1), nq)
     den = one - v * big_z
     k = (-d) % nq
     tau1 = S.Frac((one - v) * S.z_pow(i, k, nq) * S.z_pow(i + 1, -k, nq), den)

@@ -87,23 +87,23 @@ def twist_f(nq):
             for a, b in pair_basis(nq)}
 
 
-def f21(F, nq):
+def _diagonal(F):
+    """The entries {pair: coefficient} of a pair-diagonal element;
+    ValueError when F has an entry off the diagonal."""
+    if any(key != key2 for key, key2 in F):
+        raise ValueError("twist element is not pair-diagonal")
+    return {key: val for (key, _), val in F.items()}
+
+
+def f21(F):
     """Leg swap of a pair-diagonal element."""
-    out = {}
-    for ((a, b), key2), val in F.items():
-        if (a, b) != key2:
-            raise ValueError("twist element is not pair-diagonal")
-        out[((b, a), (b, a))] = val
-    return out
+    return {((b, a), (b, a)): val for (a, b), val in _diagonal(F).items()}
 
 
-def f_inverse(F, nq):
-    out = {}
-    for (key, key2), val in F.items():
-        if key != key2:
-            raise ValueError("twist element is not pair-diagonal")
-        out[(key, key)] = S.Frac(val.den, val.num)
-    return out
+def f_inverse(F):
+    """Entrywise inverse of a pair-diagonal element."""
+    return {(key, key): S.Frac(val.den, val.num)
+            for key, val in _diagonal(F).items()}
 
 
 def _assert_twist_cancelled(x):
@@ -119,14 +119,10 @@ def _assert_twist_cancelled(x):
                         "half gauss power leaked: g(%d)^%d/2" % (a, e2))
 
 
-def drinfeld_twist(r_mat, F, nq):
+def drinfeld_twist(r_mat, F):
     """F21 R F^{-1} for a pair-diagonal twist; asserts that the
     fractional exponents introduced by the twist coefficients cancel."""
-    coeff = {}
-    for (key, key2), val in F.items():
-        if key != key2:
-            raise ValueError("twist element is not pair-diagonal")
-        coeff[key] = val
+    coeff = _diagonal(F)
     out = {}
     for ((alpha, beta), (gamma, delta)), val in r_mat.items():
         left = coeff[(beta, alpha)]
@@ -140,7 +136,7 @@ def drinfeld_twist(r_mat, F, nq):
     return out
 
 
-def signature_adjust(r_mat, nq=None):
+def signature_adjust(r_mat):
     """Scale the row (k1, k2) by (-1)^{[k1][k2]}: flips exactly the
     entries whose output pair is all odd."""
     out = {}
@@ -156,14 +152,13 @@ def signature_adjust(r_mat, nq=None):
 # -- comparison with the ice table --------------------------------------------
 
 def compare_to_ice_r(nq, rows=(1, 2)):
-    """Twist, sign-adjust, substitute z = (z_i/z_j)^nq, and compare
-    entrywise with the ice crossing table."""
-    i, j = rows
-    big_z = S.z_pow(i, nq, nq) * S.z_pow(j, -nq, nq)
-    twisted = drinfeld_twist(kojima_r(big_z, nq), twist_f(nq), nq)
+    """Twist, sign-adjust, substitute z = Z (rvertex.crossing_z), and
+    compare entrywise with the ice crossing table."""
+    big_z = RV.crossing_z(rows, nq)
+    twisted = drinfeld_twist(kojima_r(big_z, nq), twist_f(nq))
     for entry in twisted.values():
         entry.assert_integral()
-    adjusted = signature_adjust(twisted, nq)
+    adjusted = signature_adjust(twisted)
     ice = ice_r_matrix(nq, rows)
     zero = S.Frac(S.zero(nq))
     mismatches = [(key, adjusted.get(key, zero), ice.get(key, zero))

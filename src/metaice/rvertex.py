@@ -67,17 +67,24 @@ _R_MEMO = {}
 _R_MEMO_MAX = 1 << 14
 
 
-def r_denominator(rows, nq):
-    """1 - v (z_i/z_j)^nq, the denominator shared by every crossing
-    weight at strand rows (i, j)."""
+def crossing_z(rows, nq):
+    """Z = (z_i/z_j)^nq at strand rows (i, j): the one spectral variable
+    of the crossing weights, the twisted quantum-group matrix and the
+    scattering coefficients."""
     i, j = rows
-    return S.one(nq) - S.v_pow(1, nq) * S.z_pow(i, nq, nq) * S.z_pow(j, -nq, nq)
+    return S.z_pow(i, nq, nq) * S.z_pow(j, -nq, nq)
+
+
+def r_denominator(rows, nq):
+    """1 - vZ, the denominator shared by every crossing weight at strand
+    rows (i, j)."""
+    return S.one(nq) - S.v_pow(1, nq) * crossing_z(rows, nq)
 
 
 def r_weight(nw, sw, ne, se, rows, nq):
     """Crossing weight for decorated legs in field order NW, SW, NE, SE.
 
-    rows = (i, j) fixes Z = (z_i/z_j)^nq with z_i on the NW--SE diagonal.
+    rows = (i, j) fixes Z (crossing_z) with z_i on the NW--SE diagonal.
     The result is a Frac whose denominator is exactly 1 - vZ, so tables
     of crossing weights add along the fast same-denominator path.  A leg
     that is not decorated (_decorated) gives zero."""
@@ -92,10 +99,7 @@ def r_weight(nw, sw, ne, se, rows, nq):
             val = S.Frac(S.zero(nq), S.one(nq))
             _R_MEMO[key] = val
             return val
-    i, j = rows
-    one = S.one(nq)
-    v = S.v_pow(1, nq)
-    big_z = S.z_pow(i, nq, nq) * S.z_pow(j, -nq, nq)
+    one, v, big_z = S.one(nq), S.v_pow(1, nq), crossing_z(rows, nq)
     den = one - v * big_z
     num = S.zero(nq)
     if nw[0] == 1 and sw[0] == 1:
@@ -542,15 +546,12 @@ def scattering_matrix(i, nq):
     """Charge-exchange matrix M(i; z) on two + strands at rows (i, i+1).
 
     Entry [(a, b)][(c, d)] is the crossing weight taking bottom/top left
-    charges (a, b) to bottom/top right charges (c, d)."""
-    out = {}
-    for (a, b), (c, d) in crossing_support(nq):
-        if 0 in (a, b):
-            continue
-        w = r_weight((1, b), (1, a), (1, d), (1, c), (i, i + 1), nq)
-        row = out.setdefault((a, b), {})
-        if not w.is_zero():
-            row[(c, d)] = w
+    charges (a, b) to bottom/top right charges (c, d): the entry
+    ((b, a), (c, d)) of ice_r_matrix at rows (i, i + 1)."""
+    out = {(a, b): {} for a, b in pair_basis(nq) if a and b}
+    for ((b, a), cd), w in ice_r_matrix(nq, (i, i + 1)).items():
+        if a and b:
+            out[(a, b)][cd] = w
     return out
 
 
@@ -574,19 +575,11 @@ def _zj(t, nq):
     return S.z_pow(2, -nq, nq) if t % nq == 0 else S.one(nq)
 
 
-def _zz(nq):
-    return S.z_pow(1, -nq, nq) * S.z_pow(2, -nq, nq)
-
-
-def _big_z(nq):
-    return S.z_pow(1, nq, nq) * S.z_pow(2, -nq, nq)
-
-
 def _case01(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(nq):
         K, kk = reduce_charge(k + 1, nq), reduce_charge(k, nq)
-        zz = _zz(nq) if k % nq == 0 else one
+        zz = _zi(k, nq) * _zj(k, nq)
         num = zz * (Z - v)
         yield ((K, K, kk, kk),
                {((1, K), (1, K), 1): num},
@@ -609,7 +602,7 @@ def _case01(nq):
 
 
 def _case03(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         yield ((K, None, None, k),
@@ -623,7 +616,7 @@ def _case03(nq):
 
 
 def _case04(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         yield ((K, None, k, None),
@@ -638,7 +631,7 @@ def _case04(nq):
 
 
 def _case05(nq):
-    one, Z = S.one(nq), _big_z(nq)
+    one, Z = S.one(nq), crossing_z((1, 2), nq)
     for k in range(nq):
         K, kk = reduce_charge(k + 1, nq), reduce_charge(k, nq)
         num = _zi(k, nq) * (one - Z)
@@ -648,7 +641,7 @@ def _case05(nq):
 
 
 def _case06(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         yield ((None, K, k, None),
@@ -662,14 +655,14 @@ def _case06(nq):
 
 
 def _case08(nq):
-    den = S.one(nq) - S.v_pow(1, nq) * _big_z(nq)
+    den = r_denominator((1, 2), nq)
     yield ((None, None, None, None),
            {(MINUS, MINUS, 1): den},
            {(MINUS, MINUS, 1): den})
 
 
 def _case09(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         g = S.gauss(k, nq)
@@ -687,7 +680,7 @@ def _case09(nq):
 
 
 def _case10(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         g = S.gauss(k, nq)
@@ -705,7 +698,7 @@ def _case10(nq):
 
 
 def _case12(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     yield ((1, None, None, None),
            {((1, 1), MINUS, 1): v * (one - Z),
             (MINUS, (1, 1), -1): one - v},
@@ -713,7 +706,7 @@ def _case12(nq):
 
 
 def _case14(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     yield ((None, 1, None, None),
            {((1, 1), MINUS, 1): (one - v) * Z,
             (MINUS, (1, 1), -1): one - Z},
@@ -721,7 +714,7 @@ def _case14(nq):
 
 
 def _case19(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     zi, zj = _zi(0, nq), _zj(0, nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
@@ -733,7 +726,7 @@ def _case19(nq):
                {((1, K), MINUS, 1): v * (one - v) * zi * (one - Z)},
                {((1, nq), (1, k), -1):
                     g * S.gauss(-k, nq) * (one - v) * zi * (one - Z)})
-    zz = _zz(nq)
+    zz = zi * zj
     yield ((1, None, nq, nq),
            {(MINUS, (1, 1), -1): -v * (one - v) * (one - v) * zz,
             ((1, 1), MINUS, 1): v * (one - v) * zz * (one - Z)},
@@ -741,7 +734,7 @@ def _case19(nq):
 
 
 def _case21(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     zi, zj = _zi(0, nq), _zj(0, nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
@@ -752,7 +745,7 @@ def _case21(nq):
         yield ((None, K, nq, k),
                {(MINUS, (1, K), -1): g * (one - v) * zj * (one - Z)},
                {((1, k), (1, nq), 1): g * (one - v) * zj * (one - Z)})
-    zz = _zz(nq)
+    zz = zi * zj
     yield ((None, 1, nq, nq),
            {(MINUS, (1, 1), -1): -v * (one - v) * zz * (one - Z),
             ((1, 1), MINUS, 1): (one - v) * (one - v) * zz * Z},
@@ -760,7 +753,7 @@ def _case21(nq):
 
 
 def _case23(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((None, None, None, nq),
            {(MINUS, MINUS, 1): (one - v) * zi * (one - v * Z)},
@@ -769,7 +762,7 @@ def _case23(nq):
 
 
 def _case24(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((None, None, nq, None),
            {(MINUS, MINUS, -1): (one - v) * zj * (one - v * Z)},
@@ -778,10 +771,10 @@ def _case24(nq):
 
 
 def _case25(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(nq):
         K, kk = reduce_charge(k + 1, nq), reduce_charge(k, nq)
-        zz = _zz(nq) if k % nq == 0 else one
+        zz = _zi(k, nq) * _zj(k, nq)
         g = S.gauss(k, nq)
         num = g * g * zz * (Z - v)
         yield ((K, K, kk, kk),
@@ -808,8 +801,7 @@ def _case25(nq):
 
 
 def _case27(nq):
-    one, v = S.one(nq), S.v_pow(1, nq)
-    Z = _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         num = S.gauss(k, nq) * (one - v)
@@ -824,7 +816,7 @@ def _case27(nq):
 
 
 def _case28(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(nq):
         K, kk = reduce_charge(k + 1, nq), reduce_charge(k, nq)
         num = v * S.gauss(k, nq) * _zj(k, nq) * (one - Z)
@@ -834,7 +826,7 @@ def _case28(nq):
 
 
 def _case29(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         num = S.gauss(k, nq) * (one - Z)
@@ -850,7 +842,7 @@ def _case29(nq):
 
 
 def _case30(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), _big_z(nq)
+    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         num = S.gauss(k, nq) * (one - v) * Z
@@ -865,7 +857,7 @@ def _case30(nq):
 
 
 def _case32(nq):
-    den = S.one(nq) - S.v_pow(1, nq) * _big_z(nq)
+    den = r_denominator((1, 2), nq)
     yield ((None, None, None, None),
            {(MINUS, MINUS, -1): den},
            {(MINUS, MINUS, -1): den})

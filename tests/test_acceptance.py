@@ -76,7 +76,7 @@ def test_criterion_4_twist_reproduction():
         assert rep["ok"], rep["mismatches"][:3]
         F = QG.twist_f(nq)
         identity = QG.mat_identity(QG.pair_basis(nq), nq)
-        assert QG.mat_eq(QG.mat_mul(F, QG.f21(F, nq)), identity)
+        assert QG.mat_eq(QG.mat_mul(F, QG.f21(F)), identity)
     for nq in (1, 2):
         F = QG.twist_f(nq)
         lhs = QG.mat_mul(QG.embed12(F, nq),

@@ -143,6 +143,8 @@ def test_usage_errors_exit_two(capsys):
         ("verify", "thm12", "--rank", "1", "--n", "2", "--b", "1", "--c", "1"),
         ("verify", "prop71", "--rank", "0", "--n", "2"),
         ("verify", "rtt", "--rank", "0"),
+        # one part has no simple reflection to swap: zero classes
+        ("verify", "train", "--lambda", "0", "--nq", "2"),
         ("ice", "partition", "--lambda", "1,0", "--nq", "2,3"),  # one modulus
         ("verify", "thm82", "--lambda", "2,1,0", "--n", "0"),  # no cover
         ("verify", "thm82", "--lambda", "2,1,0", "--n", "2", "--b", "1",

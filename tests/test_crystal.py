@@ -485,20 +485,45 @@ def test_bijection_errors_match_the_dict_oracle():
 
 
 def test_rank_memos_stay_within_their_bound():
-    memos = (C._root_order, C._layer_roots, C._flat_roots, C._in_root_order,
-             C._repr_template)
-    for memo in memos:
-        memo.cache_clear()
+    C._layout.cache_clear()
     for r in range(1, C.RANK_MEMO_MAX + 9):
-        node = C.CrystalNode(r, {root: 0 for root in C._root_order(r)})
+        node = C.CrystalNode(r, {root: 0 for root in C._layout(r).roots})
         assert node.vector() == (0,) * (r * (r - 1) // 2)
         assert repr(node) == oracles.node_forms_by_dict(r, node.m)[0]
-    for memo in memos:
-        info = memo.cache_info()
-        assert info.maxsize == C.RANK_MEMO_MAX and 0 < info.currsize <= C.RANK_MEMO_MAX
+    info = C._layout.cache_info()
+    assert info.maxsize == C.RANK_MEMO_MAX and 0 < info.currsize <= C.RANK_MEMO_MAX
     # evicted ranks come back unchanged
     assert C.gt_to_node(ref_pattern()) == ref_node()
     assert ref_node().vector() == (0, 2, 1)
+
+
+def test_partition_rule_refuses_non_int_entries():
+    # each lam passes the length and order tests, so every entry reaches
+    # the int test of lattice.check_partition
+    params = MP.CoverParams(2, 1, 1, 2)
+    for lam in ((2.0, 0), (1.5, 0), (1, 0.0), (True, 0), (True, False)):
+        ints = tuple(map(int, lam))
+        node = C.crystal_enumerate(ints, 2)[0]
+        pattern = C.node_to_gt(node, ints)
+        entries = (
+            lambda: L.System(lam, None, None, 1),
+            lambda: L.System(lam, 2, 5, 2),
+            lambda: C.i_lambda(lam, 2, 1),
+            lambda: C.crystal_enumerate(lam, 2),
+            lambda: C.node_to_gt(node, lam),
+            lambda: C.gt_bijections(node, lam=lam),
+            lambda: C.gt_bijections(pattern, lam=lam),
+            lambda: C.gt_bijections(C.gt_to_ice(pattern), lam=lam),
+            lambda: C.verify_thm82(lam, 2, 5, params),
+        )
+        for entry in entries:
+            with pytest.raises(ValueError, match="must be ints"):
+                entry()
+    # the length and order tests still come first
+    with pytest.raises(ValueError, match="length"):
+        C.crystal_enumerate((1.5,), 2)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        L.System((0, 1.5), None, None, 1)
 
 
 def test_warm_pair_memo_still_refuses_equal_non_int_rows():

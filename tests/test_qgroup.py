@@ -76,7 +76,7 @@ def test_twist_diagonal_pairs_are_one():
 @pytest.mark.parametrize("nq", [1, 2, 3])
 def test_twist_ff21_is_identity(nq):
     F = Q.twist_f(nq)
-    prod = Q.mat_mul(F, Q.f21(F, nq))
+    prod = Q.mat_mul(F, Q.f21(F))
     assert Q.mat_eq(prod, Q.mat_identity(Q.pair_basis(nq), nq))
 
 
@@ -94,7 +94,7 @@ def test_twist_braid_relation(nq):
 def test_twist_inverse():
     nq = 3
     F = Q.twist_f(nq)
-    prod = Q.mat_mul(F, Q.f_inverse(F, nq))
+    prod = Q.mat_mul(F, Q.f_inverse(F))
     assert Q.mat_eq(prod, Q.mat_identity(Q.pair_basis(nq), nq))
 
 
@@ -104,14 +104,14 @@ def test_identity_twist_returns_matrix():
     nq = 2
     K = Q.kojima_r(formal_z(nq), nq)
     ident = {((a, b), (a, b)): S.Frac(S.one(nq)) for a, b in Q.pair_basis(nq)}
-    assert Q.mat_eq(Q.drinfeld_twist(K, ident, nq), K)
+    assert Q.mat_eq(Q.drinfeld_twist(K, ident), K)
 
 
 def test_twisted_diagonal_entries():
     nq = 3
     z, one, v, den = kojima_parts(nq)
     K = Q.kojima_r(z, nq)
-    T = Q.drinfeld_twist(K, Q.twist_f(nq), nq)
+    T = Q.drinfeld_twist(K, Q.twist_f(nq))
     # unequal positive pairs pick up the Gauss sum of the label gap
     assert S.frac_eq(T[((3, 1), (3, 1))], S.Frac(S.gauss(2, nq) * (one - z), den))
     assert S.frac_eq(T[((1, 3), (1, 3))], S.Frac(S.gauss(-2, nq) * (one - z), den))
@@ -126,7 +126,7 @@ def test_twisted_diagonal_entries():
 
 @pytest.mark.parametrize("nq", [1, 2, 3, 4])
 def test_twisted_matrix_is_integral(nq):
-    T = Q.drinfeld_twist(Q.kojima_r(formal_z(nq), nq), Q.twist_f(nq), nq)
+    T = Q.drinfeld_twist(Q.kojima_r(formal_z(nq), nq), Q.twist_f(nq))
     for entry in T.values():
         entry.assert_integral()
 
@@ -136,12 +136,12 @@ def test_twisted_matrix_is_integral(nq):
 def test_signature_flips_only_all_minus_row():
     nq = 2
     K = Q.kojima_r(formal_z(nq), nq)
-    A = Q.signature_adjust(K, nq)
+    A = Q.signature_adjust(K)
     assert S.frac_eq(A[((0, 0), (0, 0))], S.Frac(S.one(nq)))
     for key in K:
         if key[0] != (0, 0):
             assert S.frac_eq(A[key], K[key])
-    AA = Q.signature_adjust(A, nq)
+    AA = Q.signature_adjust(A)
     assert Q.mat_eq(AA, K)
 
 
@@ -220,7 +220,7 @@ def test_graded_ybe_modular():
 
 def _twisted(nq):
     F = Q.twist_f(nq)
-    return lambda z: Q.drinfeld_twist(Q.kojima_r(z, nq), F, nq)
+    return lambda z: Q.drinfeld_twist(Q.kojima_r(z, nq), F)
 
 
 @pytest.mark.parametrize("nq", [2, 3])
@@ -242,8 +242,7 @@ def test_twist_preserves_graded_ybe(nq):
 def test_signed_twisted_passes_ungraded():
     nq = 1
     F = Q.twist_f(nq)
-    fn = lambda z: Q.signature_adjust(
-        Q.drinfeld_twist(Q.kojima_r(z, nq), F, nq), nq)
+    fn = lambda z: Q.signature_adjust(Q.drinfeld_twist(Q.kojima_r(z, nq), F))
     rep = Q.check_graded_ybe(nq, matrix_fn=fn, graded=False)
     assert rep["ok"]
 
