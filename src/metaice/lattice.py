@@ -9,6 +9,7 @@ a state is admissible for modulus nq when every - horizontal edge has
 charge divisible by nq.  Rows are indexed bottom to top by z_1 .. z_r.
 """
 
+from contextlib import suppress
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import lt
@@ -56,8 +57,9 @@ def check_partition(lam, r):
     lam = tuple(lam)
     if len(lam) != r:
         raise ValueError("partition length %d does not match r=%d" % (len(lam), r))
-    if any(map(lt, lam, repeat(0))) or any(map(lt, lam, lam[1:])):
-        raise ValueError("lambda must be weakly decreasing and nonnegative")
+    with suppress(TypeError):  # entries not comparable with ints meet the int test
+        if any(map(lt, lam, repeat(0))) or any(map(lt, lam, lam[1:])):
+            raise ValueError("lambda must be weakly decreasing and nonnegative")
     if not all(type(a) is int for a in lam):
         raise ValueError("lambda entries must be ints (bool is refused)")
     return lam

@@ -369,21 +369,11 @@ def tau_involution(mu, i, params):
     d = mu[i - 1] - mu[i]
     if (1 - d) % nq == 0:
         # reflected class equals the class of mu: one total coefficient
-        total = lead.tau1 + lead.tau2
-        ok = S.frac_eq(total.permute_z(swap) * total, 1)
-        return {"mu": tuple(mu), "i": i, "classes": 1, "ok": ok}
-    refl = tau(lead.target2, i, params)
-    mat = {
-        (0, 0): lead.tau1, (0, 1): lead.tau2,
-        (1, 0): refl.tau2, (1, 1): refl.tau1,
-    }
-    ok = True
-    for row in (0, 1):
-        for col in (0, 1):
-            total = None
-            for mid in (0, 1):
-                term = mat[(row, mid)].permute_z(swap) * mat[(mid, col)]
-                total = term if total is None else total + term
-            if not S.frac_eq(total, 1 if row == col else 0):
-                ok = False
-    return {"mu": tuple(mu), "i": i, "classes": 2, "ok": ok}
+        classes, mat = 1, {(0, 0): lead.tau1 + lead.tau2}
+    else:
+        refl = tau(lead.target2, i, params)
+        classes, mat = 2, {(0, 0): lead.tau1, (0, 1): lead.tau2,
+                           (1, 0): refl.tau2, (1, 1): refl.tau1}
+    swapped = {key: w.permute_z(swap) for key, w in mat.items()}
+    ok = RV.mat_eq(RV.mat_mul(swapped, mat), RV.mat_identity(range(classes), nq))
+    return {"mu": tuple(mu), "i": i, "classes": classes, "ok": ok}

@@ -152,7 +152,8 @@ def _gauss_merge(gex1, gex2, nq):
     """gauss_normalize of the product of two Gauss parts, as a triple
     (sign, vq, gex).  Cached per (gex1, gex2, nq), at most
     GAUSS_MERGE_MAX = 4,096 entries, least recently used dropped first;
-    a benchmark pass meets at most 273 distinct pairs."""
+    one benchmark pass meets 315 distinct pairs on exchange, 16 on grid
+    and 4 on crystal."""
     g = dict(gex1)
     for a, e in gex2:
         g[a] = g.get(a, 0) + e
@@ -365,12 +366,15 @@ class Scalar:
             yield zex, _scalar(groups[z], self.nq, 0)
 
     def permute_z(self, perm):
-        """Relabel z variables; perm maps old index -> new index."""
-        out = {}
-        for (vq, zex, gex), c in self.sparse_terms():
-            key = (vq, _pack_z((perm.get(i, i), e) for i, e in zex), gex)
-            out[key] = out.get(key, 0) + c
-        return _scalar({k: c for k, c in out.items() if c}, self.nq)
+        """Relabel z variables; perm maps old index -> new index and must
+        permute its own keys, so no two terms merge and every bound on
+        the exponents still holds.  Each distinct z part is repacked once."""
+        if set(perm) != set(perm.values()):
+            raise ValueError("z relabelling %r is not a permutation" % (perm,))
+        moved = {z: _pack_z((perm.get(i, i), e) for i, e in _z_pairs(z))
+                 for z in {key[1] for key in self.terms}}
+        return _scalar({(vq, moved[z], gex): c for (vq, z, gex), c in self.terms.items()},
+                       self.nq, self.zb)
 
     def has_gauss(self):
         return any(gex for (_, _, gex) in self.terms)

@@ -525,6 +525,26 @@ def i_lambda_by_nodes(nodes, lam, nq, node_weight, S):
     return total
 
 
+# -- class pieces, one filter per class ----------------------------------
+
+def coset_piece_by_filter(I, gamma, lam, cosets, S):
+    """Sub-sum of I over monomials with z exponent in gamma - w0(lam) +
+    the coset lattice: one membership test per term for this one class;
+    exponents must sum to zero (trace-free support)."""
+    r = cosets.params.r
+    w0lam = tuple(reversed(lam))
+    keep = []
+    for (vq, zex, gex), coeff in I.sparse_terms():
+        vec = [0] * r
+        for i, e in zex:
+            vec[i - 1] = e
+        if sum(vec) != 0:
+            raise ValueError("monomial exponent %r has nonzero sum" % (vec,))
+        if cosets.contains([vec[t] - gamma[t] + w0lam[t] for t in range(r)]):
+            keep.append(((vq, zex, gex), coeff))
+    return S.Scalar.from_sparse(keep, I.nq)
+
+
 # -- pattern weights and charges -----------------------------------------
 
 def gt_weight(pattern, nq, row_factor, check_modulus, S):

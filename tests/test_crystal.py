@@ -258,6 +258,24 @@ def test_class_pieces_recombine_to_the_generating_sum():
         assert total == full
 
 
+def test_class_split_matches_the_per_class_filter():
+    for lam in ((2, 2, 0), (3, 1, 0), (0, 0, 0, 0)):
+        r = len(lam)
+        for n in (1, 2, 3):
+            for b in range(n):
+                for c in range(2 * n):
+                    cosets = MP.lattice_and_cosets(MP.CoverParams(n, b, c, r))
+                    full = C.i_lambda(lam, r, cosets.params.nq)
+                    pieces = C._class_pieces(full, lam, cosets)
+                    assert set(pieces) <= set(cosets.gamma)
+                    for gamma in cosets.gamma:
+                        want = oracles.coset_piece_by_filter(full, gamma, lam, cosets, S)
+                        got = pieces.get(gamma, S.zero(full.nq))
+                        # the same terms in the same order
+                        assert list(got.terms.items()) == list(want.terms.items())
+                        assert (gamma in pieces) == bool(want)
+
+
 def test_coset_piece_rejects_unbalanced_monomials():
     cosets = MP.lattice_and_cosets(MP.CoverParams(2, 1, 1, 3))
     with pytest.raises(ValueError):
@@ -501,8 +519,11 @@ def test_partition_rule_refuses_non_int_entries():
     # each lam passes the length and order tests, so every entry reaches
     # the int test of lattice.check_partition
     params = MP.CoverParams(2, 1, 1, 2)
-    for lam in ((2.0, 0), (1.5, 0), (1, 0.0), (True, 0), (True, False)):
-        ints = tuple(map(int, lam))
+    cases = [(lam, tuple(map(int, lam)))
+             for lam in ((2.0, 0), (1.5, 0), (1, 0.0), (True, 0), (True, False))]
+    # entries that do not compare with ints skip the order test
+    cases += [(("a", 0), (1, 0)), ((None, 0), (0, 0)), ((2, "0"), (2, 0))]
+    for lam, ints in cases:
         node = C.crystal_enumerate(ints, 2)[0]
         pattern = C.node_to_gt(node, ints)
         entries = (
@@ -706,6 +727,12 @@ def test_charge_class_identity_runs_one_transfer(monkeypatch):
     during = len(calls)
     L.partition_by_class(L.System((2, 1, 0), 3, 5, params.nq))
     assert during == len(calls) - during > 0
+
+
+def test_charge_class_identity_at_rank_six():
+    report = C.verify_thm82((1, 0, 0, 0, 0, 0), 6, 7, MP.CoverParams(3, 1, 1, 6))
+    assert report["ok"]
+    assert len(report["checks"]) == 60 and report["skipped"] == 669
 
 
 def test_charge_class_identity_rank_mismatch():

@@ -350,6 +350,17 @@ def test_tau_involution():
     assert (2, 1) in seen and (2, 2) in seen and (3, 2) in seen
 
 
+def test_tau_involution_fails_with_a_doubled_tau2(monkeypatch):
+    # negating tau2 would not do: in the two-class case it conjugates the
+    # matrix by diag(1, -1), which keeps the involution
+    fracs = MP._tau_fracs
+    monkeypatch.setattr(MP, "_tau_fracs",
+                        lambda d, i, nq: (fracs(d, i, nq)[0], 2 * fracs(d, i, nq)[1]))
+    for n in (2, 3):
+        for mu in product(range(-2, 3), repeat=2):
+            assert not MP.tau_involution(mu, 1, dot_cover(n))["ok"], (n, mu)
+
+
 def test_tau_involution_higher_rank():
     p = dot_cover(3, r=3)
     for mu in product(range(-1, 2), repeat=3):

@@ -382,6 +382,15 @@ def test_permute_z_round_trip():
     assert swapped.permute_z({1: 2, 2: 1}) == x
 
 
+def test_permute_z_refuses_a_map_that_is_not_a_permutation():
+    # a merging map could raise an exponent above the bound the result keeps
+    x = S.z_pow(1, 2) * S.z_pow(2, -1)
+    assert x.zb is not None and x.permute_z({1: 2, 2: 1}).zb == x.zb
+    for perm in ({1: 2}, {1: 3}, {1: 2, 2: 2}):
+        with pytest.raises(ValueError, match="not a permutation"):
+            x.permute_z(perm)
+
+
 def test_integrality_assertions():
     S.v_pow(1, 3).assert_integral()
     (S.gauss(1, 3) * S.z_pow(1, -2, 3)).assert_integral()
