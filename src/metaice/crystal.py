@@ -331,9 +331,22 @@ def i_lambda(lam, r, nq):
     lattice row transfer down the triangular array from the top row
     lam + rho, untagged.  A row's weight is _row_factor times the monomial
     in which each root (i, j) of the _layout layers adds its value to z_i
-    and subtracts it from z_j."""
+    and subtracts it from z_j.  The sum is memoised (_i_lambda) and
+    shared: read only."""
     lam = _check_partition(lam, r)
     L.check_modulus(nq)
+    return _i_lambda(lam, r, nq)
+
+
+# bound of the generating-sum memo below: a sweep over the covers with
+# n <= 4 meets at most 4 moduli nq, each in consecutive calls
+I_LAMBDA_MEMO_MAX = 4
+
+
+@lru_cache(maxsize=I_LAMBDA_MEMO_MAX)
+def _i_lambda(lam, r, nq):
+    """i_lambda for a checked partition and modulus, memoised for the
+    I_LAMBDA_MEMO_MAX most recent shapes."""
 
     def step(roots, above):
         for row in L._rows_below(above):
@@ -506,7 +519,9 @@ def verify_thm82(lam, r, N, params):
     off a support exponent: all exponents of one piece share a residue
     class mod nq because trace-free coset-lattice vectors have every
     entry divisible by nq.  The grid partition function at that charge
-    vector must equal z^{-N + w0(rho) + c} z^{w0(lam)} times the piece.
+    vector must equal z^{-N + w0(rho) + c} z^{w0(lam)} times the piece,
+    and the support exponent plus w0(lam) must reduce to the class the
+    piece is reported under.
     """
     lam = _check_partition(lam, r)
     if params.r != r:
@@ -530,7 +545,8 @@ def verify_thm82(lam, r, N, params):
         c = tuple(L.reduce_charge(N - aligned[t] - w0rho[t], nq) for t in range(r))
         lhs = L.partition_function(system, c)
         rhs = S.z_mono([c[t] - N + w0rho[t] + w0lam[t] for t in range(r)], nq) * piece
-        entry = {"gamma": list(gamma), "c": list(c), "ok": lhs == rhs}
+        entry = {"gamma": list(gamma), "c": list(c),
+                 "ok": cosets.reduce(aligned) == gamma and lhs == rhs}
         if not entry["ok"]:
             entry["lhs"] = lhs.to_json()
             entry["rhs"] = rhs.to_json()

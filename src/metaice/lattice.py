@@ -12,6 +12,7 @@ charge divisible by nq.  Rows are indexed bottom to top by z_1 .. z_r.
 from contextlib import suppress
 from functools import lru_cache
 from itertools import accumulate, repeat
+from math import comb
 from operator import lt
 
 from . import scalar as S
@@ -72,9 +73,10 @@ def check_modulus(nq):
 
 
 class System:
-    """Grid shape, boundary data and modulus; states are built from it."""
+    """Grid shape, boundary data and modulus; states and class maps are
+    built from it, and memoised by shape (top band, r, nq), not on it."""
 
-    __slots__ = ["r", "N", "nq", "lam", "top_minus", "top", "left_charges", "_classes"]
+    __slots__ = ["r", "N", "nq", "lam", "top_minus", "top", "left_charges"]
 
     def __init__(self, lam, r, N, nq, left_charges=None):
         lam = check_partition(lam, len(lam) if r is None else r)
@@ -95,7 +97,6 @@ class System:
             if len(left_charges) != r or any(not 0 < c <= nq for c in left_charges):
                 raise ValueError("left charges must be r residues in (0, nq]")
         self.left_charges = left_charges
-        self._classes = None
 
 
 def boundary_from_partition(lam, r=None, N=None, nq=1, left_charges=None):
@@ -184,13 +185,29 @@ class IceState:
 
 
 def _row_weight(north, south, hrow, row, nq):
-    """Product of the vertex weights along one grid row, z index row."""
-    w, charge = S.one(nq), 0
+    """Product of the vertex weights along one grid row, z index row, in
+    closed form: z_row^(-nq k), k counting the a1 and b1 vertices whose
+    east charge is divisible by nq and every c1, times the Gauss symbols
+    g(east charge) of the b1 vertices normalised once, times
+    (1 - v)^(number of c1); zero when a vertex is none of the six types."""
+    k = c1 = charge = 0
+    gauss = {}
     for j in range(len(north) - 1, -1, -1):
         charge += hrow[j + 1] == 1
-        w = w * vertex_weight(north[j], south[j], hrow[j], hrow[j + 1],
-                              charge, row, nq)
-    return w
+        kind = VERTEX_TYPES.get((north[j], south[j], hrow[j], hrow[j + 1]))
+        if kind is None:
+            return S.zero(nq)
+        if kind == "c1":
+            c1 += 1
+            k += 1
+        elif kind == "a1" or kind == "b1":
+            k += charge % nq == 0
+            if kind == "b1":
+                gauss[charge] = gauss.get(charge, 0) + 2
+    sign, vq, gex = S.gauss_normalize(gauss, nq) if gauss else (1, 0, ())
+    zex = ((row, -nq * k),) if k else ()
+    return S.Scalar.from_sparse([((vq + 4 * i, zex, gex), (-1) ** i * sign * comb(c1, i))
+                                 for i in range(c1 + 1)], nq)
 
 
 def boltzmann_weight(state, nq):
@@ -327,21 +344,32 @@ def _transfer(top, layers, step, nq):
     return layer
 
 
-def _class_map(system):
+# bound of the class-map memo below: a sweep over the covers with n <= 4
+# meets at most 4 moduli nq, so 4 shapes per (lambda, N); a grid
+# benchmark pass meets 6 shapes, each in consecutive calls
+CLASS_MEMO_MAX = 4
+
+
+@lru_cache(maxsize=CLASS_MEMO_MAX)
+def _classes(top, r, nq):
     """{reduced left charges: summed weight} by the row transfer down the
-    grid, each row tagged with its reduced charge; kept on system."""
-    if system._classes is None:
-        nq = system.nq
+    grid from the top band, each row tagged with its reduced charge.
+    Memoised for the CLASS_MEMO_MAX most recent shapes; callers must not
+    change the map."""
 
-        def step(row, north):
-            return [(south, (reduce_charge(hrow.count(1), nq),),
-                     _row_weight(north, south, hrow, row, nq))
-                    for south, hrow in _row_completions(north, nq)]
+    def step(row, north):
+        return [(south, (reduce_charge(hrow.count(1), nq),),
+                 _row_weight(north, south, hrow, row, nq))
+                for south, hrow in _row_completions(north, nq)]
 
-        layer = _transfer(system.top, range(system.r, 0, -1), step, nq)
-        # the bottom spin row is all +: one entry, or none without states
-        system._classes = next(iter(layer.values()), {})
-    return system._classes
+    layer = _transfer(top, range(r, 0, -1), step, nq)
+    # the bottom spin row is all +: one entry, or none without states
+    return next(iter(layer.values()), {})
+
+
+def _class_map(system):
+    """The memoised class map of the system's shape, shared: read only."""
+    return _classes(system.top, system.r, system.nq)
 
 
 def partition_function(system, charges=None):

@@ -94,12 +94,17 @@ def test_train_suite_runs_one_transfer_per_system(capsys, monkeypatch):
         return completions(*args)
 
     monkeypatch.setattr(L, "_row_completions", spy)
+    L._classes.cache_clear()
     code, _ = run_cli(capsys, "verify", "train", "--lambda", "2,2,0", "--nq", "1,2")
     assert code == 0
     during = len(calls)
+    L._classes.cache_clear()
     for nq in (1, 2):
         L.partition_by_class(L.boundary_from_partition((2, 2, 0), nq=nq))
     assert during == len(calls) - during > 0
+    # both class maps are memoised by shape: a repeat run makes no row step
+    code, _ = run_cli(capsys, "verify", "train", "--lambda", "2,2,0", "--nq", "1,2")
+    assert code == 0 and len(calls) == 2 * during
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -719,14 +719,93 @@ def _count_row_completions(monkeypatch):
     return calls
 
 
+def _clear_grid_memos():
+    L._classes.cache_clear()
+    C._i_lambda.cache_clear()
+
+
 def test_charge_class_identity_runs_one_transfer(monkeypatch):
     params = MP.CoverParams(3, 1, 1, 3)   # six nonzero classes
     calls = _count_row_completions(monkeypatch)
+    _clear_grid_memos()
     report = C.verify_thm82((2, 1, 0), 3, 5, params)
     assert report["ok"] and len(report["checks"]) > 1
     during = len(calls)
+    L._classes.cache_clear()
     L.partition_by_class(L.System((2, 1, 0), 3, 5, params.nq))
     assert during == len(calls) - during > 0
+    # the shape's class map is memoised: a repeat check makes no row step
+    assert C.verify_thm82((2, 1, 0), 3, 5, params) == report
+    assert len(calls) == 2 * during
+
+
+def test_cover_sweep_builds_the_grid_side_once_per_modulus(monkeypatch):
+    lam, r, N = (2, 1, 0), 3, 5
+    covers = [MP.CoverParams(n, b, c, r) for n in (1, 2, 3) for b in range(n)
+              for c in range(2 * n)]
+    moduli = sorted({params.nq for params in covers})
+    assert moduli == [1, 2, 3]
+    calls = _count_row_completions(monkeypatch)
+    transfers = []
+    transfer = L._transfer
+
+    def spy(top, layers, step, nq):
+        transfers.append((top, nq))
+        return transfer(top, layers, step, nq)
+
+    monkeypatch.setattr(L, "_transfer", spy)
+    _clear_grid_memos()
+    reports = [C.verify_thm82(lam, r, N, params) for params in covers]
+    assert all(report["ok"] for report in reports)
+    # one grid transfer (from the top band) and one I_lambda transfer (from
+    # the top row lambda + rho) per modulus, each with the row steps of a
+    # fresh build
+    grid = [(L.System(lam, r, N, nq).top, nq) for nq in moduli]
+    array = [(C._top_row(lam, r), nq) for nq in moduli]
+    assert sorted(transfers) == sorted(grid + array)
+    during = len(calls)
+    for nq in moduli:
+        L._classes.cache_clear()
+        L.partition_by_class(L.System(lam, r, N, nq))
+    assert during == len(calls) - during > 0
+    for params, report in zip(covers, reports):
+        _clear_grid_memos()
+        assert C.verify_thm82(lam, r, N, params) == report, params
+
+
+def test_charge_class_identity_ties_each_piece_to_its_class(monkeypatch):
+    # a split that drops w0(lambda) files pieces under the wrong class but
+    # keeps every lhs == rhs, since c is read off each piece's support
+    split = C._class_pieces
+    lam = (2, 1, 0)
+    for params in (MP.CoverParams(2, 0, 1, 3), MP.CoverParams(3, 1, 0, 3)):
+        assert C.verify_thm82(lam, 3, 5, params)["ok"]
+        cosets = MP.lattice_and_cosets(params)
+        full = C.i_lambda(lam, 3, params.nq)
+        assert split(full, lam, cosets).keys() != split(full, (0, 0, 0), cosets).keys()
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "_class_pieces",
+                          lambda I, shape, cosets: split(I, (0,) * len(shape), cosets))
+            report = C.verify_thm82(lam, 3, 5, params)
+        assert not report["ok"], params
+        failed = [check for check in report["checks"] if not check["ok"]]
+        assert failed and all(check["lhs"] == check["rhs"] for check in failed)
+
+
+def test_generating_sum_memo_stays_within_its_bound():
+    C._i_lambda.cache_clear()
+    shapes = [(k, 0) for k in range(2 * C.I_LAMBDA_MEMO_MAX)]
+    first = {}
+    # the first shapes are summed again after they were dropped
+    for lam in shapes + shapes[:2]:
+        got = C.i_lambda(lam, 2, 2)
+        nodes = C.crystal_enumerate(lam, 2)
+        assert got == oracles.i_lambda_by_nodes(nodes, lam, 2, C.node_weight, S)
+        assert first.setdefault(lam, got) == got
+    info = C._i_lambda.cache_info()
+    assert info.maxsize == C.I_LAMBDA_MEMO_MAX
+    assert 0 < info.currsize <= C.I_LAMBDA_MEMO_MAX
+    assert info.misses == len(shapes) + 2
 
 
 def test_charge_class_identity_at_rank_six():

@@ -354,6 +354,7 @@ def test_class_map_is_built_once_and_copied(monkeypatch):
         return completions(*args)
 
     monkeypatch.setattr(L, "_row_completions", spy)
+    L._classes.cache_clear()
     sys_ = L.boundary_from_partition((2, 2, 0), 3, 5, 2)
     by_class = L.partition_by_class(sys_)
     built = len(calls)
@@ -367,9 +368,60 @@ def test_class_map_is_built_once_and_copied(monkeypatch):
     assert L.partition_function(sys_, (9, 9, 9)).is_zero()
     assert L.partition_function(sys_) == total
     again = L.partition_by_class(sys_)
+    # the map is memoised by shape, so a new system of the same shape
+    # makes no row step either
+    same_shape = L.partition_by_class(L.boundary_from_partition((2, 2, 0), 3, 5, 2))
     # counted before the oracle, whose enumeration makes row steps of its own
     assert len(calls) == built
-    assert again == oracles.partition_classes(sys_, L, S)
+    assert again == same_shape == oracles.partition_classes(sys_, L, S)
+
+
+def test_class_map_memo_stays_within_its_bound():
+    L._classes.cache_clear()
+    shapes = [(k, 0) for k in range(2 * L.CLASS_MEMO_MAX)]
+    first = {}
+    # the first shapes are built again after they were dropped
+    for lam in shapes + shapes[:2]:
+        sys_ = L.boundary_from_partition(lam, 2, nq=2)
+        got = L.partition_by_class(sys_)
+        assert got == oracles.partition_classes(sys_, L, S)
+        assert first.setdefault(lam, got) == got
+    info = L._classes.cache_info()
+    assert info.maxsize == L.CLASS_MEMO_MAX
+    assert 0 < info.currsize <= L.CLASS_MEMO_MAX
+    assert info.misses == len(shapes) + 2
+
+
+def test_row_weight_matches_the_vertex_product():
+    # every row step of several shapes, at each nq in 1-4: the closed form
+    # against the oracle's vertex weights multiplied along the row
+    most = {"b1": 0, "c1": 0}
+    for lam, N in (((2, 2, 0), 5), ((3, 1, 0), 6), ((0,) * 5, 6), ((2, 1, 1, 0), 7)):
+        r = len(lam)
+        for nq in (1, 2, 3, 4):
+            layer = {L.boundary_from_partition(lam, r, N, nq).top}
+            for row in range(r, 0, -1):
+                nxt = set()
+                for north in layer:
+                    for south, hrow in L._row_completions(north, nq):
+                        nxt.add(south)
+                        state = L.IceState((south, north), (hrow,))
+                        charges = state.charge_grid()[0]
+                        want = S.one(nq)
+                        for j in range(N):
+                            want = want * oracles.vertex_weight_oracle(
+                                north[j], south[j], hrow[j], hrow[j + 1],
+                                charges[j + 1], row, nq, S)
+                        assert L._row_weight(north, south, hrow, row, nq) == want, \
+                            (lam, nq, north, south)
+                        kinds = [state.vertex_kind(0, j) for j in range(N)]
+                        for kind in most:
+                            most[kind] = max(most[kind], kinds.count(kind))
+                layer = nxt
+    assert most["b1"] >= 3 and most["c1"] >= 2
+    # a vertex that is none of the six types weighs zero
+    for nq in (1, 2, 3, 4):
+        assert L._row_weight((1,), (-1,), (1, 1), 1, nq).is_zero()
 
 
 def test_modulus_one_states_have_no_formal_symbols():
