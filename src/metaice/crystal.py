@@ -50,10 +50,6 @@ _tail = itemgetter(slice(1, None))
 _head = itemgetter(slice(None, -1))
 
 
-def _top_row(lam, r):
-    return tuple(map(add, lam, range(r - 1, -1, -1)))
-
-
 def _root_values(rows):
     """Values of the _layout layers roots, layer after layer, read off
     consecutive array rows (a whole array, or a row and the row under
@@ -267,7 +263,7 @@ def crystal_enumerate(lam, r):
     of those carries a boxed-and-circled root, so the generating sum is
     unchanged."""
     lam = _check_partition(lam, r)
-    prefixes = [(_top_row(lam, r), ())]
+    prefixes = [(L._top_row(lam, r), ())]
     # every prefix ending in the same row has the same continuations
     steps = {}
     for _ in range(1, r):
@@ -356,7 +352,7 @@ def _i_lambda(lam, r, nq):
                 zex[j - 1] -= m
             yield row, (), _row_factor(above, row, nq) * S.z_mono(zex, nq)
 
-    layer = L._transfer(_top_row(lam, r), _layout(r).layers, step, nq)
+    layer = L._transfer(L._top_row(lam, r), _layout(r).layers, step, nq)
     return sum((classes[()] for classes in layer.values()), S.zero(nq))
 
 
@@ -406,7 +402,7 @@ def node_to_gt(node, lam):
     them."""
     r = node.r
     lam = _check_partition(lam, r)
-    above = _top_row(lam, r)
+    above = L._top_row(lam, r)
     rows, values = [above], iter(node.values)
     for _ in range(1, r):
         # map stops at its first exhausted argument, above[1:], so each

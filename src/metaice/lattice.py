@@ -13,7 +13,7 @@ from contextlib import suppress
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb
-from operator import lt
+from operator import add, lt
 
 from . import scalar as S
 
@@ -35,21 +35,9 @@ def reduce_charge(c, nq):
 
 
 def vertex_weight(north, south, west, east, east_charge, row, nq):
-    """Weight of one grid vertex; east_charge is the unreduced charge on
-    the east edge and row is the 1-based z index of the vertex's row."""
-    kind = VERTEX_TYPES.get((north, south, west, east))
-    if kind is None:
-        return S.zero(nq)
-    divisible = east_charge % nq == 0
-    if kind == "a1":
-        return S.z_pow(row, -nq, nq) if divisible else S.one(nq)
-    if kind == "a2" or kind == "b2" or kind == "c2":
-        return S.one(nq)
-    if kind == "b1":
-        g = S.gauss(east_charge, nq)
-        return g * S.z_pow(row, -nq, nq) if divisible else g
-    # c1
-    return (S.one(nq) - S.v_pow(1, nq)) * S.z_pow(row, -nq, nq)
+    """One grid vertex as a row of one: east_charge is the unreduced
+    charge on its east edge, row the 1-based z index of its row."""
+    return _row_weight((north,), (south,), (west, east), row, nq, east_charge - (east == 1))
 
 
 def check_partition(lam, r):
@@ -72,6 +60,11 @@ def check_modulus(nq):
         raise ValueError("modulus must be a positive integer")
 
 
+def _top_row(lam, r):
+    """lambda + rho: the column labels of the top row's - spins."""
+    return tuple(map(add, lam, range(r - 1, -1, -1)))
+
+
 class System:
     """Grid shape, boundary data and modulus; states and class maps are
     built from it, and memoised by shape (top band, r, nq), not on it."""
@@ -90,7 +83,7 @@ class System:
         self.r = r
         self.N = N
         self.nq = nq
-        self.top_minus = frozenset(lam[i] + r - 1 - i for i in range(r))
+        self.top_minus = frozenset(_top_row(lam, r))
         self.top = _band(self.top_minus, N)
         if left_charges is not None:
             left_charges = tuple(left_charges)
@@ -150,7 +143,7 @@ class IceState:
     def left_charges(self, nq=None):
         """Per-row left-boundary charges, bottom to top; reduced into
         (0, nq] when a modulus is given."""
-        raw = tuple(row[0] for row in self.charge_grid())
+        raw = tuple(row.count(1) for row in self.horizontal)
         return raw if nq is None else tuple(reduce_charge(c, nq) for c in raw)
 
     def vertex_kind(self, i, j):
@@ -184,13 +177,14 @@ class IceState:
         return obj
 
 
-def _row_weight(north, south, hrow, row, nq):
+def _row_weight(north, south, hrow, row, nq, charge=0):
     """Product of the vertex weights along one grid row, z index row, in
     closed form: z_row^(-nq k), k counting the a1 and b1 vertices whose
     east charge is divisible by nq and every c1, times the Gauss symbols
     g(east charge) of the b1 vertices normalised once, times
-    (1 - v)^(number of c1); zero when a vertex is none of the six types."""
-    k = c1 = charge = 0
+    (1 - v)^(number of c1); zero when a vertex is none of the six types.
+    charge counts the + spins east of the last edge, 0 on a grid."""
+    k = c1 = 0
     gauss = {}
     for j in range(len(north) - 1, -1, -1):
         charge += hrow[j + 1] == 1

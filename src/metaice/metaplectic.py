@@ -260,7 +260,7 @@ def _tau_fracs(d, i, nq):
     nq.  Cached, holding at most 256 pairs (least recently used dropped
     first)."""
     one, v, big_z = S.one(nq), S.v_pow(1, nq), RV.crossing_z((i, i + 1), nq)
-    den = one - v * big_z
+    den = RV.r_denominator((i, i + 1), nq)
     k = (-d) % nq
     tau1 = S.Frac((one - v) * S.z_pow(i, k, nq) * S.z_pow(i + 1, -k, nq), den)
     tau2 = S.Frac(S.gauss(1 - d, nq) * S.z_pow(i, -1, nq)
@@ -278,11 +278,9 @@ def prop71_check(ci, cj, params):
     charge-crossing weight.  Equal reduced residues demand the one-term
     identity tau1 + tau2 = z^(-alpha) times the equal-charge weight.
     The check is theorem12_diagram on the rank-2 cover at i = 1, whose
-    identities are these with the monomials moved to the tau side.
+    identities are these with the monomials moved to the tau side, and
+    which refuses residues outside (0, n] with a ValueError.
     """
-    n = params.n
-    if not (0 < ci <= n and 0 < cj <= n):
-        raise ValueError("residues must lie in (0, n]")
     rep = theorem12_diagram(CoverParams(params.n, params.b, params.c, 2), (ci, cj))
     return {
         "residues": (ci, cj),

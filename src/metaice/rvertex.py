@@ -24,11 +24,6 @@ from .lattice import partition_function, reduce_charge, vertex_weight
 MINUS = (-1, 0)
 
 
-def plus(c, nq):
-    """Decorated + spin carrying the residue of c in (0, nq]."""
-    return (1, reduce_charge(c, nq))
-
-
 def decorated_values(nq):
     """All nq + 1 decorated spins an edge can carry."""
     return [MINUS] + [(1, c) for c in range(1, nq + 1)]
@@ -51,14 +46,13 @@ def grid_vertex_weight(north, south, west, east, row, nq):
     if not (_decorated(west, nq) and _decorated(east, nq)):
         return S.zero(nq)
     ws, wc = west
-    es, ec = east
-    east_res = ec % nq if es == 1 else 0
+    es, ec = east  # MINUS carries charge 0
     if ws == 1:
-        if wc != reduce_charge(east_res + 1, nq):
+        if wc != reduce_charge(ec + 1, nq):
             return S.zero(nq)
-    elif east_res:
+    elif ec % nq:
         return S.zero(nq)
-    return vertex_weight(north, south, ws, es, ec if es == 1 else 0, row, nq)
+    return vertex_weight(north, south, ws, es, ec, row, nq)
 
 
 # r_weight results by argument tuple; emptied when it reaches _R_MEMO_MAX
@@ -100,7 +94,7 @@ def r_weight(nw, sw, ne, se, rows, nq):
             _R_MEMO[key] = val
             return val
     one, v, big_z = S.one(nq), S.v_pow(1, nq), crossing_z(rows, nq)
-    den = one - v * big_z
+    den = r_denominator(rows, nq)
     num = S.zero(nq)
     if nw[0] == 1 and sw[0] == 1:
         a, b = nw[1], sw[1]

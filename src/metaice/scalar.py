@@ -390,7 +390,7 @@ class Scalar:
         return self
 
     def degree_hint(self):
-        """Crude total-degree bound used for failure-probability reports."""
+        """Crude total-degree bound; tests check rvertex._sz_log2_bound by it."""
         d = 0
         for (vq, zex, gex), _ in self.sparse_terms():
             t = abs(vq) + sum(abs(e) for _, e in zex) + sum(abs(e) for _, e in gex)

@@ -162,6 +162,8 @@ def test_usage_errors_exit_two(capsys):
         ("verify", "rrr", "--nq", "1", "--seed", "3", "--trials", "5"),
         ("verify", "unitarity", "--nq", "1", "--seed", "3"),
         ("verify", "unitarity", "--nq", "1", "--mode", "symbolic", "--trials", "3"),
+        ("verify", "rtt", "--nq", "0"),  # no modulus
+        ("whittaker", "--lambda", "1,0", "--gamma", "1,0"),  # no cover
     )
     for argv in bad:
         with pytest.raises(SystemExit) as err:
@@ -300,6 +302,25 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert len(cases) == 60 and {case["params"]["r"] for case in cases} == {3}
     assert [case["lhs"]["failures"] for case in cases
             if case["verdict"] == "fail"] == [[[1, 2]]] * 58
+
+
+def test_train_failure_lists_the_unequal_classes(capsys, monkeypatch):
+    # double the weight that moves each charge across the crossing: only
+    # the classes with c_i != c_{i+1} read it
+    plain = cli.RV.r_weight
+
+    def bent(nw, sw, ne, se, rows, nq):
+        w = plain(nw, sw, ne, se, rows, nq)
+        return w * 2 if nw != sw and (ne, se) == (sw, nw) else w
+
+    monkeypatch.setattr(cli.RV, "r_weight", bent)
+    code, out = run_cli(capsys, "verify", "train", "--lambda", "2,0", "--nq", "2")
+    assert code == 1
+    case, = json.loads(out)
+    assert case["verdict"] == "fail"
+    fails = case["lhs"]["failures"]
+    assert fails
+    assert all(charges[i - 1] != charges[i] for i, charges in fails)
 
 
 def test_suite_help_lists_only_its_flags(capsys):

@@ -761,7 +761,7 @@ def test_cover_sweep_builds_the_grid_side_once_per_modulus(monkeypatch):
     # the top row lambda + rho) per modulus, each with the row steps of a
     # fresh build
     grid = [(L.System(lam, r, N, nq).top, nq) for nq in moduli]
-    array = [(C._top_row(lam, r), nq) for nq in moduli]
+    array = [(L._top_row(lam, r), nq) for nq in moduli]
     assert sorted(transfers) == sorted(grid + array)
     during = len(calls)
     for nq in moduli:

@@ -392,6 +392,23 @@ def test_class_map_memo_stays_within_its_bound():
     assert info.misses == len(shapes) + 2
 
 
+def test_vertex_weight_matches_the_oracle():
+    # every spin pattern at east charges 0..3nq, rows 1-3 and nq 1-6; the
+    # oracle's None (none of the six types) is weight zero
+    count = 0
+    for nq in range(1, 7):
+        for north, south, west, east in itertools.product((1, -1), repeat=4):
+            for charge in range(3 * nq + 1):
+                for row in (1, 2, 3):
+                    want = oracles.vertex_weight_oracle(north, south, west, east,
+                                                        charge, row, nq, S)
+                    got = L.vertex_weight(north, south, west, east, charge, row, nq)
+                    assert got == (S.zero(nq) if want is None else want), \
+                        (north, south, west, east, charge, row, nq)
+                    count += 1
+    assert count == 3312
+
+
 def test_row_weight_matches_the_vertex_product():
     # every row step of several shapes, at each nq in 1-4: the closed form
     # against the oracle's vertex weights multiplied along the row

@@ -2,6 +2,7 @@
 identities, the frozen boundary tables, and the spectral-swap equation."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from metaice import scalar as S
 from metaice import lattice as L
 from metaice import rvertex as R
+from metaice import cli
 
 
 def big_z(nq, i=1, j=2):
@@ -310,6 +312,94 @@ def test_appendix_regression(nq):
     assert len(empty) == 12
     for case in empty:
         assert case["states"] == 0
+
+
+def _with_builder(patch, label, rows):
+    """Give appendix case `label` the builder rows(frozen builder, nq)."""
+    cases = [(name, spins, (lambda nq, b=builder: rows(b, nq)) if name == label
+              else builder) for name, spins, builder in R.APPENDIX_CASES]
+    patch.setattr(R, "APPENDIX_CASES", cases)
+
+
+def _doubled(builder, nq):
+    for charges, lhs, rhs in builder(nq):
+        yield charges, {key: num * 2 for key, num in lhs.items()}, rhs
+
+
+def test_appendix_regression_reports_each_mismatch(monkeypatch, capsys):
+    nq = 2
+    blank = (None,) * 4
+    # a doubled frozen numerator: one value mismatch, in case 8 only
+    with monkeypatch.context() as patch:
+        _with_builder(patch, "8", _doubled)
+        rep = R.appendix_regression(nq)
+    assert not rep["ok"]
+    (label, charges, side, key, got, want), = rep["mismatches"]
+    assert (label, charges, side, key) == ("8", blank, "lhs", (R.MINUS, R.MINUS, 1))
+    assert want == got.num * 2
+    # a frozen internal edge that no state has: a key-set mismatch
+    extra = (R.MINUS, R.MINUS, 0)
+
+    def with_extra_key(builder, nq):
+        first, *rest = builder(nq)
+        yield first[0], {**first[1], extra: S.one(nq)}, first[2]
+        yield from rest
+
+    with monkeypatch.context() as patch:
+        _with_builder(patch, "8", with_extra_key)
+        rep = R.appendix_regression(nq)
+    (label, charges, side, kind, got, want), = rep["mismatches"]
+    assert (label, charges, side, kind) == ("8", blank, "lhs", "keys")
+    assert want == sorted(got + [extra])
+
+    # a frozen charge row that no boundary instance meets
+    def with_stray_row(builder, nq):
+        yield from builder(nq)
+        yield (0, 0, 0, 0), {}, {}
+
+    with monkeypatch.context() as patch:
+        _with_builder(patch, "3", with_stray_row)
+        rep = R.appendix_regression(nq)
+    assert rep["mismatches"] == [("3", "uncovered rows", [(0, 0, 0, 0)])]
+
+    # a frozen charge row listed twice
+    def with_repeat(builder, nq):
+        first, *rest = builder(nq)
+        yield from [first, first] + rest
+
+    with monkeypatch.context() as patch:
+        _with_builder(patch, "1", with_repeat)
+        with pytest.raises(AssertionError, match="case 1: duplicate charge row"):
+            R.appendix_regression(nq)
+
+    # a perturbed crossing weight unbalances the side sums
+    plain = R.r_weight
+
+    def bent(nw, sw, ne, se, rows, nq):
+        w = plain(nw, sw, ne, se, rows, nq)
+        return w * 2 if nw == sw == ne == se == (1, 1) else w
+
+    R.crossing_table.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(R, "r_weight", bent)
+            rep = R.appendix_regression(nq)
+    finally:
+        R.crossing_table.cache_clear()
+    sums = [m for m in rep["mismatches"] if m[2] == "sums"]
+    assert sums
+    assert not any(S.frac_eq(lhs, rhs) for *_, lhs, rhs in sums)
+    assert R.appendix_regression(nq)["ok"]
+
+    # the CLI reports the doubled numerator as case 8's failure only
+    with monkeypatch.context() as patch:
+        _with_builder(patch, "8", _doubled)
+        code = cli.main(["verify", "appendix", "--nq", "1"])
+    cases = json.loads(capsys.readouterr().out)
+    assert code == 1 and len(cases) == 32
+    failing = [case for case in cases if case["verdict"] == "fail"]
+    assert [case["case"] for case in failing] == ["8"]
+    assert len(failing[0]["rhs"]["mismatches"]) == 1
 
 
 def test_appendix_instance_counts():
