@@ -8,9 +8,9 @@ the generating sum reproduce the grid partition functions per left-edge
 charge class after a fixed monomial normalization.
 """
 
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, gt, itemgetter, le, sub
 
 from . import scalar as S
@@ -48,14 +48,6 @@ def _layout(r):
 # every entry of a row but its first, and but its last
 _tail = itemgetter(slice(1, None))
 _head = itemgetter(slice(None, -1))
-
-
-def _root_values(rows):
-    """Values of the _layout layers roots, layer after layer, read off
-    consecutive array rows (a whole array, or a row and the row under
-    it): row[q] - above[q + 1]."""
-    return map(sub, chain.from_iterable(rows[1:]),
-               chain.from_iterable(map(_tail, rows)))
 
 
 def _long_word(r):
@@ -204,6 +196,29 @@ def _pair_ok(above, row):
             and all(map(gt, above, above[1:])) and all(map(gt, row, row[1:])))
 
 
+# bound of each of the two memos below: a crystal benchmark pass meets
+# 1,034 distinct row pairs, criterion 8 1,086
+ROW_STEP_MEMO_MAX = 4096
+
+
+@lru_cache(maxsize=ROW_STEP_MEMO_MAX)
+def _layer_values(above, row):
+    """The root values of the _layout layer between array rows above and
+    row, in flat order: row[q] - above[q + 1]."""
+    return tuple(map(sub, row, above[1:]))
+
+
+@lru_cache(maxsize=ROW_STEP_MEMO_MAX)
+def _row_step(above, values):
+    """(row, ok), the inverse of _layer_values: the row under `above`
+    that adds a layer's root values, in order, to the entries up and to
+    the right, and whether the pair passes _pair_ok.  Keys are int tuples
+    (node values, and rows built from a checked partition), so the memo
+    cannot meet 2.0 for 2."""
+    row = tuple(map(add, above[1:], values))
+    return row, _pair_ok(above, row)
+
+
 def _rows_ok(rows):
     """True when int rows form a strict pattern: a last row of one
     entry, and r - 1 consecutive row pairs that pass _pair_ok."""
@@ -270,7 +285,7 @@ def crystal_enumerate(lam, r):
         nxt = []
         for above, values in prefixes:
             if above not in steps:
-                steps[above] = [(row, tuple(_root_values((above, row))))
+                steps[above] = [(row, _layer_values(above, row))
                                 for row in L._rows_below(above)]
             nxt += [(row, values + step) for row, step in steps[above]]
         prefixes = nxt
@@ -347,7 +362,7 @@ def _i_lambda(lam, r, nq):
     def step(roots, above):
         for row in L._rows_below(above):
             zex = [0] * r
-            for (i, j), m in zip(roots, _root_values((above, row))):
+            for (i, j), m in zip(roots, _layer_values(above, row)):
                 zex[i - 1] = m
                 zex[j - 1] -= m
             yield row, (), _row_factor(above, row, nq) * S.z_mono(zex, nq)
@@ -381,6 +396,30 @@ def _class_pieces(I, lam, cosets):
     return {gamma: S.Scalar.from_sparse(terms, I.nq) for gamma, terms in split.items()}
 
 
+# bound of the class-piece memo below: a grid benchmark pass meets 3
+# distinct (lambda, n_Q, coset basis) keys; a sweep over the covers with
+# n <= 3, taken in (n, b, c) order, meets 6 and splits each once, least
+# recently used dropped first
+PIECES_MEMO_MAX = 4
+_PIECES_MEMO = OrderedDict()
+
+
+def _cover_pieces(lam, nq, cosets):
+    """_class_pieces of I_lambda at modulus nq, memoised by (lambda, nq,
+    coset basis) for the PIECES_MEMO_MAX most recently used keys: covers
+    with equal n_Q and an equal coset lattice have equal pieces.  lam
+    must be checked already; the pieces are shared: read only."""
+    key = (lam, nq, tuple(map(tuple, cosets.basis)))
+    pieces = _PIECES_MEMO.get(key)
+    if pieces is None:
+        pieces = _PIECES_MEMO[key] = _class_pieces(_i_lambda(lam, len(lam), nq), lam, cosets)
+        if len(_PIECES_MEMO) > PIECES_MEMO_MAX:
+            _PIECES_MEMO.popitem(last=False)
+    else:
+        _PIECES_MEMO.move_to_end(key)
+    return pieces
+
+
 def coset_piece(I, gamma, lam, cosets):
     """Sub-sum of I over monomials with z exponent in gamma - w0(lam) +
     the coset lattice: the _class_pieces entry at the class of gamma."""
@@ -394,36 +433,46 @@ def coset_piece(I, gamma, lam, cosets):
 
 def node_to_gt(node, lam):
     """Stack lambda + rho on top and add each layer's node values, in
-    order, to the entries up and to the right.  Root values and lam
-    (check_partition) are ints, root values nonnegative, so every entry
-    is an int at least its upper right neighbour; what is left to reject
-    is an entry above its upper left neighbour (outside membership) and
-    a row that is not strict, tested in that order as GTPattern tests
-    them."""
+    order, to the entries up and to the right, one memoised _row_step
+    per row.  Root values and lam (check_partition) are ints, root values
+    nonnegative, so every entry is an int at least its upper right
+    neighbour; what is left to reject is an entry above its upper left
+    neighbour (outside membership) and a row that is not strict, tested
+    in that order as GTPattern tests them."""
     r = node.r
     lam = _check_partition(lam, r)
     above = L._top_row(lam, r)
-    rows, values = [above], iter(node.values)
-    for _ in range(1, r):
-        # map stops at its first exhausted argument, above[1:], so each
-        # row takes exactly its layer's values from the shared iterator
-        above = tuple(map(add, above[1:], values))
+    rows, values, start, ok = [above], node.values, 0, True
+    for size in range(r - 1, 0, -1):
+        above, pair_ok = _row_step(above, values[start:start + size])
         rows.append(above)
+        start += size
+        ok = ok and pair_ok
     rows = tuple(rows)
-    if not _rows_ok(rows):
+    if not ok:
         raise _pattern_error(rows)
     return GTPattern._trusted(rows)
 
 
 def gt_to_node(pattern):
-    """Row differences read back as root values in _layout flat order; a
-    valid pattern makes each one a nonnegative int."""
-    return CrystalNode._trusted(pattern.r, tuple(_root_values(pattern.rows)))
+    """Row differences read back as root values in _layout flat order,
+    one memoised _layer_values per row pair; a valid pattern makes each
+    one a nonnegative int."""
+    rows = pattern.rows
+    return CrystalNode._trusted(pattern.r, sum(map(_layer_values, rows, rows[1:]), ()))
 
 
-def _lam_from_top(pattern):
-    r = pattern.r
-    return _check_partition(tuple(map(sub, pattern.rows[0], range(r - 1, -1, -1))), r)
+# bound of the top-row memo below: a crystal benchmark pass meets 2 top
+# rows; an entry is one row of at most r ints and its partition
+TOP_MEMO_MAX = 64
+
+
+@lru_cache(maxsize=TOP_MEMO_MAX)
+def _lam_from_top(top, r):
+    """The partition lambda = top - rho of a pattern's top row, checked;
+    memoised by row.  Every GTPattern holds int entries, so no float or
+    bool row reaches the memo; a refused row raises on every call."""
+    return _check_partition(tuple(map(sub, top, range(r - 1, -1, -1))), r)
 
 
 def ice_to_gt(state):
@@ -431,10 +480,10 @@ def ice_to_gt(state):
     band first; the bottom boundary must be all +.  Labels read left to
     right are ints and decrease strictly, so the row lengths and the
     interleaving are what is left to check."""
-    r, N = state.r, state.N
+    N = state.N
     if -1 in state.vertical[0]:
         raise ValueError("bottom boundary must carry + spins")
-    rows = tuple([L._labels(state.vertical[r - k], N) for k in range(r)])
+    rows = tuple(map(L._labels, state.vertical[:0:-1], repeat(N)))
     if not _rows_ok(rows):
         raise _pattern_error(rows)
     return GTPattern._trusted(rows)
@@ -446,7 +495,8 @@ def gt_to_ice(pattern, N=None):
     A pattern need not be strict, so strictness is checked here, with
     the width N, nonnegative labels and the propagation."""
     rows = pattern.rows
-    if not _rows_strict(rows):
+    # _rows_ok implies strictness and reads the pair memo
+    if not (_rows_ok(rows) or _rows_strict(rows)):
         raise ValueError("pattern rows must strictly decrease")
     if N is None:
         N = rows[0][0] + 1
@@ -454,11 +504,11 @@ def gt_to_ice(pattern, N=None):
         raise ValueError("need N > the top row maximum")
     if rows[-1][0] < 0:
         raise ValueError("column labels must be nonnegative")
-    vertical = (L._band((), N),) + tuple([L._band(row, N) for row in reversed(rows)])
-    horizontal = tuple(map(L._horizontal_row, vertical[1:], vertical))
+    # one memoised grid row per row pair, bottom row first
+    bands, horizontal = zip(*map(L._grid_row, rows[::-1], ((),) + rows[:0:-1], repeat(N)))
     if None in horizontal:
         raise ValueError("spins do not propagate in row %d" % (horizontal.index(None) + 1))
-    return L.IceState._trusted(vertical, horizontal)
+    return L.IceState._trusted((L._band((), N),) + bands, horizontal)
 
 
 def gt_bijections(x, lam=None, N=None):
@@ -479,7 +529,7 @@ def gt_bijections(x, lam=None, N=None):
         pattern, ice = ice_to_gt(x), x
     else:
         raise ValueError("expected a CrystalNode, GTPattern or IceState")
-    top = _lam_from_top(pattern)
+    top = _lam_from_top(pattern.rows[0], pattern.r)
     if lam is not None:
         lam = _check_partition(lam, pattern.r)
         if lam != top:
@@ -524,11 +574,10 @@ def verify_thm82(lam, r, N, params):
         raise ValueError("cover rank %d does not match r=%d" % (params.r, r))
     nq = params.nq
     cosets = MP.lattice_and_cosets(params)
-    ilam = i_lambda(lam, r, nq)
     system = L.System(lam, r, N, nq)
     w0rho = range(r)
     w0lam = tuple(reversed(lam))
-    pieces = _class_pieces(ilam, lam, cosets)
+    pieces = _cover_pieces(lam, nq, cosets)
     checks = []
     # classes in the order of cosets.gamma, which product lists sorted
     for gamma, piece in sorted(pieces.items()):

@@ -13,7 +13,7 @@ from contextlib import suppress
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb
-from operator import add, lt
+from operator import add, ge, lt
 
 from . import scalar as S
 
@@ -44,6 +44,11 @@ def check_partition(lam, r):
     """lam as a tuple; ValueError unless it is a partition of length r
     with int entries (bool refused), tested in that order."""
     lam = tuple(lam)
+    # the common case, a weakly decreasing nonnegative row of ints, in one
+    # test; anything else meets the rules below in their order
+    if (len(lam) == r and set(map(type, lam)) == {int}
+            and lam[-1] >= 0 and all(map(ge, lam, lam[1:]))):
+        return lam
     if len(lam) != r:
         raise ValueError("partition length %d does not match r=%d" % (len(lam), r))
     with suppress(TypeError):  # entries not comparable with ints meet the int test
@@ -153,9 +158,6 @@ class IceState:
     def is_admissible(self, nq):
         return all(_admissible(hrow, nq) for hrow in self.horizontal)
 
-    def sort_key(self):
-        return self.vertical
-
     def __eq__(self, other):
         return (isinstance(other, IceState)
                 and self.vertical == other.vertical
@@ -214,7 +216,8 @@ def boltzmann_weight(state, nq):
 
 
 # bound of each per-row memo below: a crystal benchmark pass meets 161
-# distinct bands and 1,086 band pairs, the 0^7 bijections 1,093 pairs
+# distinct bands and 1,086 band pairs and grid rows, the 0^7 bijections
+# 1,093 pairs
 ROW_MEMO_MAX = 4096
 
 
@@ -262,6 +265,16 @@ def _horizontal_row(north, south):
     return tuple(row) if east == 1 else None
 
 
+@lru_cache(maxsize=ROW_MEMO_MAX)
+def _grid_row(north, south, N):
+    """(band, horizontal row) of one grid row given the column labels of
+    its north and south bands: the north band of N vertical edges and
+    the _horizontal_row between it and the south band, None when the
+    spins do not propagate."""
+    band = _band(north, N)
+    return band, _horizontal_row(band, _band(south, N))
+
+
 def _admissible(hrow, nq):
     """True when every - edge of a horizontal row has charge (the + spins
     to its right) divisible by nq."""
@@ -293,17 +306,27 @@ ENUM_MEMO_MAX = 16
 
 @lru_cache(maxsize=ENUM_MEMO_MAX)
 def _enumerate(top, r, nq):
-    """Every state as its bands and rows from the top, one row step per
-    distinct band reached.  Memoised for the ENUM_MEMO_MAX most recent
-    shapes."""
-    paths = [((top,), ())]
+    """Every state, in order of its bands from the bottom one up, with no
+    sort: one row step per distinct band reached from the top, then every
+    path up from the all-+ bottom band along those steps.  A band's level
+    is its count of - spins, so each path up ends at the top band, and
+    taking the steps up in band order lists the paths in order.
+    Memoised for the ENUM_MEMO_MAX most recent shapes."""
+    up, level = {}, {top}
     for _ in range(r):
-        below = {north: _row_completions(north, nq) for north in {v[-1] for v, _ in paths}}
-        paths = [(vrows + (south,), hrows + (hrow,)) for vrows, hrows in paths
-                 for south, hrow in below[vrows[-1]]]
-    states = [IceState._trusted(vrows[::-1], hrows[::-1]) for vrows, hrows in paths]
-    states.sort(key=IceState.sort_key)
-    return tuple(states)
+        below = set()
+        for north in level:
+            for south, hrow in _row_completions(north, nq):
+                up.setdefault(south, []).append((north, hrow))
+                below.add(south)
+        level = below
+    for steps in up.values():
+        steps.sort()
+    paths = [((_band((), len(top)),), ())]
+    for _ in range(r):
+        paths = [(vrows + (north,), hrows + (hrow,)) for vrows, hrows in paths
+                 for north, hrow in up.get(vrows[-1], ())]
+    return tuple([IceState._trusted(vrows, hrows) for vrows, hrows in paths])
 
 
 def enumerate_states(system):

@@ -58,18 +58,6 @@ class CoverParams:
             self.n, self.b, self.c, self.r)
 
 
-def covers_distinguishable(first, second):
-    """Parameter test separating two covers of the same degree.
-
-    Covers (b1, c1) and (b2, c2) of degree n are distinguishable when
-    2(c1 - c2) is nonzero mod n or b1 differs from b2 mod n.
-    """
-    if first.n != second.n:
-        raise ValueError("covers must share the degree")
-    n = first.n
-    return (2 * (first.c - second.c)) % n != 0 or (first.b - second.b) % n != 0
-
-
 # -- integer lattice utilities ----------------------------------------------
 
 def xgcd(a, b):

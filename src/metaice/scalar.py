@@ -356,15 +356,6 @@ class Scalar:
                 zex = decoded[z] = _z_pairs(z)
             yield (vq, zex, gex), c
 
-    def z_split(self):
-        """Group terms by their z monomial; yields (zex, sub-Scalar) in
-        order of the sorted (index, exponent) pairs zex."""
-        groups = {}
-        for (vq, z, gex), c in self.terms.items():
-            groups.setdefault(z, {})[(vq, 0, gex)] = c
-        for zex, z in sorted((_z_pairs(z), z) for z in groups):
-            yield zex, _scalar(groups[z], self.nq, 0)
-
     def permute_z(self, perm):
         """Relabel z variables; perm maps old index -> new index and must
         permute its own keys, so no two terms merge and every bound on
@@ -375,9 +366,6 @@ class Scalar:
                  for z in {key[1] for key in self.terms}}
         return _scalar({(vq, moved[z], gex): c for (vq, z, gex), c in self.terms.items()},
                        self.nq, self.zb)
-
-    def has_gauss(self):
-        return any(gex for (_, _, gex) in self.terms)
 
     def assert_integral(self):
         """Raise unless all v powers are integers and g powers integral."""

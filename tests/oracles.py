@@ -9,7 +9,10 @@ not tautology.
 import functools
 import itertools
 import operator
+from contextlib import suppress
 from fractions import Fraction
+from itertools import repeat
+from operator import lt
 
 
 # -- raw Gauss-symbol evaluation (periodicity only, no rewriting) --------
@@ -161,6 +164,53 @@ class TupleKeyScalar:
         return {"nq": self.nq, "terms": terms}
 
 
+# -- ring and cover helpers that only the tests read -------------------------
+
+def z_split(x, S):
+    """Group the terms of the scalar.Scalar x by their z monomial; yields
+    (zex, sub-Scalar) in order of the sorted (index, exponent) pairs zex.
+    S is the scalar module."""
+    groups = {}
+    for (vq, z, gex), c in x.terms.items():
+        groups.setdefault(z, {})[(vq, 0, gex)] = c
+    for zex, z in sorted((S._z_pairs(z), z) for z in groups):
+        yield zex, S._scalar(groups[z], x.nq, 0)
+
+
+def has_gauss(x):
+    """True when a term of the scalar x carries a Gauss symbol."""
+    return any(gex for (_, _, gex) in x.terms)
+
+
+def covers_distinguishable(first, second):
+    """Parameter test separating two covers of the same degree.
+
+    Covers (b1, c1) and (b2, c2) of degree n are distinguishable when
+    2(c1 - c2) is nonzero mod n or b1 differs from b2 mod n.
+    """
+    if first.n != second.n:
+        raise ValueError("covers must share the degree")
+    n = first.n
+    return (2 * (first.c - second.c)) % n != 0 or (first.b - second.b) % n != 0
+
+
+# -- the partition rule, one test after another -----------------------------
+
+def check_partition_rule(lam, r):
+    """lattice.check_partition without its fast path: lam as a tuple;
+    ValueError unless it is a partition of length r with int entries
+    (bool refused), tested in that order."""
+    lam = tuple(lam)
+    if len(lam) != r:
+        raise ValueError("partition length %d does not match r=%d" % (len(lam), r))
+    with suppress(TypeError):  # entries not comparable with ints meet the int test
+        if any(map(lt, lam, repeat(0))) or any(map(lt, lam, lam[1:])):
+            raise ValueError("lambda must be weakly decreasing and nonnegative")
+    if not all(type(a) is int for a in lam):
+        raise ValueError("lambda entries must be ints (bool is refused)")
+    return lam
+
+
 # -- strict interleaving triangular patterns -----------------------------
 
 def enumerate_strict_patterns(top):
@@ -238,6 +288,19 @@ def vertex_weight_oracle(north, south, west, east, east_charge, row, nq, S):
     if pat == (-1, 1, 1, -1):
         return S.one(nq)
     return None
+
+
+def states_by_sort(top, r, nq, row_completions):
+    """lattice._enumerate as (vertical, horizontal) pairs: every path down
+    from the top band, one row step per distinct band of each level,
+    then one sort by the bands from the bottom.  row_completions is
+    lattice._row_completions."""
+    paths = [((top,), ())]
+    for _ in range(r):
+        below = {north: row_completions(north, nq) for north in {v[-1] for v, _ in paths}}
+        paths = [(vrows + (south,), hrows + (hrow,)) for vrows, hrows in paths
+                 for south, hrow in below[vrows[-1]]]
+    return sorted((vrows[::-1], hrows[::-1]) for vrows, hrows in paths)
 
 
 def brute_force_states(r, N, top_minus_columns, nq):
@@ -752,11 +815,12 @@ def tokuyama_z(lam):
     return _poly_mul(total, schur)
 
 
-def as_x_poly(z, r):
+def as_x_poly(z, r, S):
     """A modulus-one Scalar in z_1 .. z_r as the dict tokuyama_z returns:
-    (v exponent, x_1 exponent, ..., x_r exponent) -> coefficient, x = 1/z."""
+    (v exponent, x_1 exponent, ..., x_r exponent) -> coefficient, x = 1/z.
+    S is the scalar module."""
     out = {}
-    for zex, sub in z.z_split():
+    for zex, sub in z_split(z, S):
         x = dict(zex)
         xs = tuple(-x.get(i, 0) for i in range(1, r + 1))
         for (vq, _, gex), coef in sub.sparse_terms():

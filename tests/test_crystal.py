@@ -213,7 +213,7 @@ def test_generating_sum_is_tokuyama_at_modulus_one():
         N = lam[0] + r
         shift = [1 - N + t + lam[r - 1 - t] for t in range(r)]
         z = S.z_mono(shift, 1) * C.i_lambda(lam, r, 1)
-        assert oracles.as_x_poly(z, r) == oracles.tokuyama_z(lam), lam
+        assert oracles.as_x_poly(z, r, S) == oracles.tokuyama_z(lam), lam
 
 
 def test_generating_sum_lists_no_nodes(monkeypatch):
@@ -588,6 +588,68 @@ def test_pair_memo_stays_within_its_bound():
     assert C._pair_ok((9, 8, 7), (8, 7)) and not C._pair_ok((9, 8, 7), (7, 7))
 
 
+def test_row_step_memos_stay_within_their_bound():
+    # strict rows of 3 entries below 13 against every layer of 2 values
+    # below 6: 10,296 distinct keys in each memo, more than twice the bound
+    for memo in (C._row_step, C._layer_values):
+        memo.cache_clear()
+    tops = list(itertools.combinations(range(12, -1, -1), 3))
+    keys = [(above, values) for above in tops
+            for values in itertools.product(range(6), repeat=2)]
+    assert len(keys) > 2 * C.ROW_STEP_MEMO_MAX
+    below = {}
+    for above, values in keys:
+        if above not in below:
+            below[above] = {p[1] for p in oracles.enumerate_strict_patterns(above)}
+        row = (above[1] + values[0], above[2] + values[1])
+        assert C._row_step(above, values) == (row, row in below[above]), (above, values)
+        assert C._layer_values(above, row) == values
+    for memo in (C._row_step, C._layer_values):
+        info = memo.cache_info()
+        assert info.maxsize == C.ROW_STEP_MEMO_MAX
+        assert 0 < info.currsize <= C.ROW_STEP_MEMO_MAX
+    # evicted entries come back unchanged
+    assert C._row_step((12, 11, 10), (0, 0)) == ((11, 10), True)
+    assert C._row_step((12, 11, 10), (2, 0)) == ((13, 10), False)
+    assert C._layer_values((12, 11, 10), (12, 10)) == (1, 0)
+    for lam in ((2, 1, 0), (1, 0, 0, 0), (2, 2, 0)):
+        for node in C.crystal_enumerate(lam, len(lam)):
+            rows = oracles.node_to_rows_by_dict(node, lam, L.check_partition)
+            pattern = C.node_to_gt(node, lam)
+            assert pattern.rows == rows
+            assert C.gt_to_node(pattern) == node
+
+
+def test_top_row_memo_stays_within_its_bound():
+    C._lam_from_top.cache_clear()
+    tops = list(itertools.combinations(range(24, -1, -1), 2))
+    assert len(tops) > 2 * C.TOP_MEMO_MAX
+    for top in tops + tops[:3]:
+        assert C._lam_from_top(top, 2) == oracles.check_partition_rule(
+            (top[0] - 1, top[1]), 2)
+    info = C._lam_from_top.cache_info()
+    assert info.maxsize == C.TOP_MEMO_MAX and 0 < info.currsize <= C.TOP_MEMO_MAX
+    assert info.misses == len(tops) + 3
+    assert C.gt_bijections(ref_pattern(), lam=REF_LAM)["node"] == ref_node()
+
+
+def test_warm_top_row_memo_still_refuses_a_non_strict_top_row():
+    # the top-row memo holds no error: every call with a refused row raises
+    C._lam_from_top.cache_clear()
+    for rows, lam in ((((2, 1), (1,)), (1, 1)), (((3, 2, 0), (2, 1), (1,)), (1, 1, 0))):
+        pattern = C.GTPattern(rows)
+        assert C.gt_bijections(pattern, lam=lam)["pattern"] == pattern
+    for rows in (((2, 2), (2,)), ((1, 1), (1,)), ((3, 3, 0), (3, 0), (0,))):
+        weak = C.GTPattern(rows, strict=False)
+        r = len(rows)
+        want = _raised(oracles.check_partition_rule,
+                       tuple(a - (r - 1 - t) for t, a in enumerate(rows[0])), r)
+        assert want[1] == "lambda must be weakly decreasing and nonnegative"
+        for _ in range(3):
+            assert _raised(C.gt_bijections, weak) == want
+    assert C._lam_from_top.cache_info().currsize == 2
+
+
 def _assert_rebuilds(x):
     if isinstance(x, C.CrystalNode):
         rebuilt = C.CrystalNode(x.r, x.m)
@@ -722,6 +784,7 @@ def _count_row_completions(monkeypatch):
 def _clear_grid_memos():
     L._classes.cache_clear()
     C._i_lambda.cache_clear()
+    C._PIECES_MEMO.clear()
 
 
 def test_charge_class_identity_runs_one_transfer(monkeypatch):
@@ -773,6 +836,56 @@ def test_cover_sweep_builds_the_grid_side_once_per_modulus(monkeypatch):
         assert C.verify_thm82(lam, r, N, params) == report, params
 
 
+def _cover_class(params):
+    return params.nq, tuple(map(tuple, MP.lattice_and_cosets(params).basis))
+
+
+def test_cover_sweep_splits_once_per_cover_class(monkeypatch):
+    # covers with equal n_Q and an equal coset basis have equal class
+    # pieces, so a sweep splits I_lambda once per distinct class
+    lam, r, N = (2, 1, 0), 3, 5
+    covers = [MP.CoverParams(n, b, c, r) for n in (1, 2, 3) for b in range(n)
+              for c in range(2 * n)]
+    classes = {_cover_class(params) for params in covers}
+    assert len(covers) == 28 and len(classes) == 6
+    splits = []
+    split = C._class_pieces
+
+    def spy(I, shape, cosets):
+        splits.append((shape, I.nq, tuple(map(tuple, cosets.basis))))
+        return split(I, shape, cosets)
+
+    monkeypatch.setattr(C, "_class_pieces", spy)
+    _clear_grid_memos()
+    reports = [C.verify_thm82(lam, r, N, params) for params in covers]
+    assert all(report["ok"] for report in reports)
+    assert sorted(splits) == sorted((lam,) + key for key in classes)
+    # every report equals a run with the memos cleared
+    for params, report in zip(covers, reports):
+        _clear_grid_memos()
+        assert C.verify_thm82(lam, r, N, params) == report, params
+
+
+def test_class_piece_memo_stays_within_its_bound():
+    # three shapes at the rank-2 covers with n <= 3: 18 distinct keys,
+    # more than twice the bound; the first runs come again after eviction
+    C._PIECES_MEMO.clear()
+    covers = [MP.CoverParams(n, b, c, 2) for n in (1, 2, 3) for b in range(n)
+              for c in range(2 * n)]
+    runs = [((k, 0), params) for k in range(3) for params in covers]
+    keys, first = set(), {}
+    for lam, params in runs + runs[:2]:
+        report = C.verify_thm82(lam, 2, lam[0] + 2, params)
+        assert report["ok"], (lam, params)
+        assert first.setdefault((lam, repr(params)), report) == report
+        assert 0 < len(C._PIECES_MEMO) <= C.PIECES_MEMO_MAX
+        cosets = MP.lattice_and_cosets(params)
+        assert C._cover_pieces(lam, params.nq, cosets) == C._class_pieces(
+            C.i_lambda(lam, 2, params.nq), lam, cosets)
+        keys.add((lam,) + _cover_class(params))
+    assert len(keys) > 2 * C.PIECES_MEMO_MAX
+
+
 def test_charge_class_identity_ties_each_piece_to_its_class(monkeypatch):
     # a split that drops w0(lambda) files pieces under the wrong class but
     # keeps every lhs == rhs, since c is read off each piece's support
@@ -786,7 +899,10 @@ def test_charge_class_identity_ties_each_piece_to_its_class(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(C, "_class_pieces",
                           lambda I, shape, cosets: split(I, (0,) * len(shape), cosets))
+            # the class-piece memo is emptied before and after the patched split
+            C._PIECES_MEMO.clear()
             report = C.verify_thm82(lam, 3, 5, params)
+        C._PIECES_MEMO.clear()
         assert not report["ok"], params
         failed = [check for check in report["checks"] if not check["ok"]]
         assert failed and all(check["lhs"] == check["rhs"] for check in failed)

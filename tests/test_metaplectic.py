@@ -9,6 +9,8 @@ from metaice import metaplectic as MP
 from metaice import rvertex as RV
 from metaice import scalar as S
 
+import oracles
+
 
 def brute_kernel_count(params):
     """Residue tuples x in [0, n)^r with B.x = 0 mod n, counted directly."""
@@ -61,13 +63,13 @@ def test_nq_values():
 
 def test_covers_distinguishable():
     base = MP.CoverParams(4, 1, 1, 2)
-    assert not MP.covers_distinguishable(base, MP.CoverParams(4, 1, 1, 2))
+    assert not oracles.covers_distinguishable(base, MP.CoverParams(4, 1, 1, 2))
     # doubling the c-difference lands on 0 mod 4: not separated
-    assert not MP.covers_distinguishable(base, MP.CoverParams(4, 1, 3, 2))
-    assert MP.covers_distinguishable(base, MP.CoverParams(4, 1, 2, 2))
-    assert MP.covers_distinguishable(base, MP.CoverParams(4, 3, 1, 2))
+    assert not oracles.covers_distinguishable(base, MP.CoverParams(4, 1, 3, 2))
+    assert oracles.covers_distinguishable(base, MP.CoverParams(4, 1, 2, 2))
+    assert oracles.covers_distinguishable(base, MP.CoverParams(4, 3, 1, 2))
     with pytest.raises(ValueError):
-        MP.covers_distinguishable(base, MP.CoverParams(3, 1, 1, 2))
+        oracles.covers_distinguishable(base, MP.CoverParams(3, 1, 1, 2))
 
 
 # -- integer lattice utilities ------------------------------------------------
