@@ -8,7 +8,7 @@ the generating sum reproduce the grid partition functions per left-edge
 charge class after a fixed monomial normalization.
 """
 
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, gt, itemgetter, le, sub
@@ -181,12 +181,8 @@ def _rows_strict(rows):
                    chain.from_iterable(map(_tail, rows))))
 
 
-# bound of the pair memo below: a crystal benchmark pass meets 721
-# distinct row pairs, criterion 8 1,086
-PAIR_MEMO_MAX = 4096
-
-
-@lru_cache(maxsize=PAIR_MEMO_MAX)
+# the three row-pair memos below share the bound of lattice's row memos
+@lru_cache(maxsize=L.ROW_MEMO_MAX)
 def _pair_ok(above, row):
     """True when row is one entry shorter than above, interleaves under
     it, above[q + 1] <= row[q] <= above[q], and both rows strictly
@@ -196,19 +192,14 @@ def _pair_ok(above, row):
             and all(map(gt, above, above[1:])) and all(map(gt, row, row[1:])))
 
 
-# bound of each of the two memos below: a crystal benchmark pass meets
-# 1,034 distinct row pairs, criterion 8 1,086
-ROW_STEP_MEMO_MAX = 4096
-
-
-@lru_cache(maxsize=ROW_STEP_MEMO_MAX)
+@lru_cache(maxsize=L.ROW_MEMO_MAX)
 def _layer_values(above, row):
     """The root values of the _layout layer between array rows above and
     row, in flat order: row[q] - above[q + 1]."""
     return tuple(map(sub, row, above[1:]))
 
 
-@lru_cache(maxsize=ROW_STEP_MEMO_MAX)
+@lru_cache(maxsize=L.ROW_MEMO_MAX)
 def _row_step(above, values):
     """(row, ok), the inverse of _layer_values: the row under `above`
     that adds a layer's root values, in order, to the entries up and to
@@ -380,44 +371,35 @@ def _z_vector(zex, r):
     return vec
 
 
-def _class_pieces(I, lam, cosets):
+def _class_pieces(I, lam, basis):
     """I split by coset class in one pass over its terms: {canonical class:
     nonzero piece}, a term with z exponent vec going to the class
-    cosets.reduce(vec + w0(lam)).  lam must be checked already; exponents
-    must sum to zero (trace-free support)."""
-    r = cosets.params.r
+    MP.reduce(basis, vec + w0(lam)) of the coset lattice basis.  lam must
+    be checked already; exponents must sum to zero (trace-free support)."""
+    r = len(basis)
     split = {}
     for term in I.sparse_terms():
         vec = _z_vector(term[0][1], r)
         if sum(vec) != 0:
             raise ValueError("monomial exponent %r has nonzero sum" % (vec,))
-        gamma = cosets.reduce(map(add, vec, reversed(lam)))
+        gamma = MP.reduce(basis, map(add, vec, reversed(lam)))
         split.setdefault(gamma, []).append(term)
     return {gamma: S.Scalar.from_sparse(terms, I.nq) for gamma, terms in split.items()}
 
 
 # bound of the class-piece memo below: a grid benchmark pass meets 3
 # distinct (lambda, n_Q, coset basis) keys; a sweep over the covers with
-# n <= 3, taken in (n, b, c) order, meets 6 and splits each once, least
-# recently used dropped first
+# n <= 3, taken in (n, b, c) order, meets 6 and splits each once
 PIECES_MEMO_MAX = 4
-_PIECES_MEMO = OrderedDict()
 
 
-def _cover_pieces(lam, nq, cosets):
-    """_class_pieces of I_lambda at modulus nq, memoised by (lambda, nq,
-    coset basis) for the PIECES_MEMO_MAX most recently used keys: covers
-    with equal n_Q and an equal coset lattice have equal pieces.  lam
-    must be checked already; the pieces are shared: read only."""
-    key = (lam, nq, tuple(map(tuple, cosets.basis)))
-    pieces = _PIECES_MEMO.get(key)
-    if pieces is None:
-        pieces = _PIECES_MEMO[key] = _class_pieces(_i_lambda(lam, len(lam), nq), lam, cosets)
-        if len(_PIECES_MEMO) > PIECES_MEMO_MAX:
-            _PIECES_MEMO.popitem(last=False)
-    else:
-        _PIECES_MEMO.move_to_end(key)
-    return pieces
+@lru_cache(maxsize=PIECES_MEMO_MAX)
+def _cover_pieces(lam, nq, basis):
+    """_class_pieces of I_lambda at modulus nq for a coset basis given as
+    a tuple of row tuples: covers with equal n_Q and an equal coset
+    lattice have equal pieces.  lam must be checked already; the pieces
+    are shared: read only."""
+    return _class_pieces(_i_lambda(lam, len(lam), nq), lam, basis)
 
 
 def coset_piece(I, gamma, lam, cosets):
@@ -428,7 +410,7 @@ def coset_piece(I, gamma, lam, cosets):
     gamma = tuple(gamma)
     if len(gamma) != r:
         raise ValueError("gamma must have %d entries" % r)
-    return _class_pieces(I, lam, cosets).get(cosets.reduce(gamma), S.zero(I.nq))
+    return _class_pieces(I, lam, cosets.basis).get(cosets.reduce(gamma), S.zero(I.nq))
 
 
 def node_to_gt(node, lam):
@@ -577,7 +559,7 @@ def verify_thm82(lam, r, N, params):
     system = L.System(lam, r, N, nq)
     w0rho = range(r)
     w0lam = tuple(reversed(lam))
-    pieces = _cover_pieces(lam, nq, cosets)
+    pieces = _cover_pieces(lam, nq, tuple(map(tuple, cosets.basis)))
     checks = []
     # classes in the order of cosets.gamma, which product lists sorted
     for gamma, piece in sorted(pieces.items()):
@@ -597,5 +579,5 @@ def verify_thm82(lam, r, N, params):
             entry["rhs"] = rhs.to_json()
         checks.append(entry)
     return {"lambda": list(lam), "r": r, "N": N, "params": params.to_json(),
-            "nq": nq, "checks": checks, "skipped": len(cosets.gamma) - len(pieces),
+            "nq": nq, "checks": checks, "skipped": cosets.index - len(pieces),
             "ok": all(ch["ok"] for ch in checks)}

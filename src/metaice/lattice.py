@@ -215,8 +215,9 @@ def boltzmann_weight(state, nq):
     return w
 
 
-# bound of each per-row memo below: a crystal benchmark pass meets 161
-# distinct bands and 1,086 band pairs and grid rows, the 0^7 bijections
+# bound of each per-row memo below and of crystal's row-pair memos: a
+# crystal benchmark pass meets 161 distinct bands, 1,086 band pairs and
+# grid rows, 721 pair keys and 1,034 layer keys; the 0^7 bijections
 # 1,093 pairs
 ROW_MEMO_MAX = 4096
 

@@ -114,6 +114,18 @@ def _b_dot(bmat, x):
     return [sum(bmat[row][k] * x[k] for k in range(r)) for row in range(r)]
 
 
+def reduce(basis, x):
+    """Canonical representative of x modulo the lattice spanned by the
+    rows of an upper-triangular basis with positive pivots: entry k
+    lands in [0, basis[k][k])."""
+    v = list(x)
+    for idx, row in enumerate(basis):
+        q = v[idx] // row[idx]
+        if q:
+            v = [e - q * b for e, b in zip(v, row)]
+    return tuple(v)
+
+
 class CosetData:
     """Kernel lattice of x -> B.x mod n plus canonical coset labels.
 
@@ -135,13 +147,7 @@ class CosetData:
 
     def reduce(self, x):
         """Canonical representative of x modulo the lattice."""
-        v = list(x)
-        for idx in range(self.params.r):
-            q = v[idx] // self.basis[idx][idx]
-            if q:
-                v = [v[k] - q * self.basis[idx][k]
-                     for k in range(self.params.r)]
-        return tuple(v)
+        return reduce(self.basis, x)
 
     def contains(self, x):
         return not any(self.reduce(x))
@@ -159,18 +165,20 @@ class CosetData:
 def lattice_and_cosets(params):
     """Kernel lattice of the mod-n pairing and its coset representatives.
 
-    Generators are the n-fold coordinate vectors together with every
-    residue tuple in [0, n)^r killed by the pairing; the normal form
-    turns the span into a triangular basis whose membership in the
-    kernel is rechecked entry by entry.
+    One Hermite normal form of the augmented pairing lattice in Z^{2r},
+    spanned by the rows (B e_k | e_k) and (n e_k | 0), gives the kernel
+    basis in canonical form; each row's membership in the kernel is
+    rechecked entry by entry.
     """
     n, r = params.n, params.r
     bmat = params.bilinear_matrix()
-    gens = [[n if k == idx else 0 for k in range(r)] for idx in range(r)]
-    for x in product(range(n), repeat=r):
-        if any(x) and not any(e % n for e in _b_dot(bmat, x)):
-            gens.append(list(x))
-    basis = hermite_basis(gens, r)
+    # bmat is symmetric, so its row k is B e_k
+    gens = [bmat[k] + [int(k == idx) for idx in range(r)] for k in range(r)]
+    gens += [[n * int(k == idx) for idx in range(2 * r)] for k in range(r)]
+    # the span holds (v | x) exactly when v = B.x mod n, so its vectors
+    # with v = 0 are the kernel; in the triangular basis those are the
+    # combinations of the last r rows, which are zero on the first r columns
+    basis = [row[r:] for row in hermite_basis(gens, 2 * r)[r:]]
     for row in basis:
         if any(e % n for e in _b_dot(bmat, row)):
             raise AssertionError("normal form produced a non-kernel row")

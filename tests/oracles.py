@@ -260,6 +260,26 @@ def coset_scan(n, b, c, r):
     return key_of, classes
 
 
+# -- kernel lattice by residue scan ---------------------------------------
+
+def kernel_basis_by_scan(params, MP):
+    """Kernel lattice of x -> B.x mod n from a scan of every residue tuple
+    in [0, n)^r: the n-fold coordinate vectors and each residue killed by
+    the pairing generate it, and MP.hermite_basis (MP the metaplectic
+    module) puts it in normal form; returns the MP.CosetData."""
+    n, r = params.n, params.r
+    bmat = params.bilinear_matrix()
+    gens = [[n if k == idx else 0 for k in range(r)] for idx in range(r)]
+    for x in itertools.product(range(n), repeat=r):
+        if any(x) and not any(e % n for e in MP._b_dot(bmat, x)):
+            gens.append(list(x))
+    basis = MP.hermite_basis(gens, r)
+    for row in basis:
+        if any(e % n for e in MP._b_dot(bmat, row)):
+            raise AssertionError("normal form produced a non-kernel row")
+    return MP.CosetData(params, basis)
+
+
 # -- literal six-vertex weight walk ---------------------------------------
 
 def vertex_weight_oracle(north, south, west, east, east_charge, row, nq, S):

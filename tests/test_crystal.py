@@ -266,7 +266,7 @@ def test_class_split_matches_the_per_class_filter():
                 for c in range(2 * n):
                     cosets = MP.lattice_and_cosets(MP.CoverParams(n, b, c, r))
                     full = C.i_lambda(lam, r, cosets.params.nq)
-                    pieces = C._class_pieces(full, lam, cosets)
+                    pieces = C._class_pieces(full, lam, cosets.basis)
                     assert set(pieces) <= set(cosets.gamma)
                     for gamma in cosets.gamma:
                         want = oracles.coset_piece_by_filter(full, gamma, lam, cosets, S)
@@ -579,9 +579,9 @@ def test_pair_memo_stays_within_its_bound():
             assert C._pair_ok(above, row) == (row in below), (above, row)
             pairs += 1
         assert not C._pair_ok(above, above[1:] + (0,))      # a row too long
-    assert pairs > 2 * C.PAIR_MEMO_MAX
+    assert pairs > 2 * L.ROW_MEMO_MAX
     info = C._pair_ok.cache_info()
-    assert info.maxsize == C.PAIR_MEMO_MAX and 0 < info.currsize <= C.PAIR_MEMO_MAX
+    assert info.maxsize == L.ROW_MEMO_MAX and 0 < info.currsize <= L.ROW_MEMO_MAX
     # evicted entries come back unchanged
     assert C.node_to_gt(ref_node(), REF_LAM) == ref_pattern()
     assert C.gt_bijections(ref_pattern())["node"] == ref_node()
@@ -596,7 +596,7 @@ def test_row_step_memos_stay_within_their_bound():
     tops = list(itertools.combinations(range(12, -1, -1), 3))
     keys = [(above, values) for above in tops
             for values in itertools.product(range(6), repeat=2)]
-    assert len(keys) > 2 * C.ROW_STEP_MEMO_MAX
+    assert len(keys) > 2 * L.ROW_MEMO_MAX
     below = {}
     for above, values in keys:
         if above not in below:
@@ -606,8 +606,8 @@ def test_row_step_memos_stay_within_their_bound():
         assert C._layer_values(above, row) == values
     for memo in (C._row_step, C._layer_values):
         info = memo.cache_info()
-        assert info.maxsize == C.ROW_STEP_MEMO_MAX
-        assert 0 < info.currsize <= C.ROW_STEP_MEMO_MAX
+        assert info.maxsize == L.ROW_MEMO_MAX
+        assert 0 < info.currsize <= L.ROW_MEMO_MAX
     # evicted entries come back unchanged
     assert C._row_step((12, 11, 10), (0, 0)) == ((11, 10), True)
     assert C._row_step((12, 11, 10), (2, 0)) == ((13, 10), False)
@@ -784,7 +784,7 @@ def _count_row_completions(monkeypatch):
 def _clear_grid_memos():
     L._classes.cache_clear()
     C._i_lambda.cache_clear()
-    C._PIECES_MEMO.clear()
+    C._cover_pieces.cache_clear()
 
 
 def test_charge_class_identity_runs_one_transfer(monkeypatch):
@@ -851,9 +851,9 @@ def test_cover_sweep_splits_once_per_cover_class(monkeypatch):
     splits = []
     split = C._class_pieces
 
-    def spy(I, shape, cosets):
-        splits.append((shape, I.nq, tuple(map(tuple, cosets.basis))))
-        return split(I, shape, cosets)
+    def spy(I, shape, basis):
+        splits.append((shape, I.nq, basis))
+        return split(I, shape, basis)
 
     monkeypatch.setattr(C, "_class_pieces", spy)
     _clear_grid_memos()
@@ -869,7 +869,7 @@ def test_cover_sweep_splits_once_per_cover_class(monkeypatch):
 def test_class_piece_memo_stays_within_its_bound():
     # three shapes at the rank-2 covers with n <= 3: 18 distinct keys,
     # more than twice the bound; the first runs come again after eviction
-    C._PIECES_MEMO.clear()
+    C._cover_pieces.cache_clear()
     covers = [MP.CoverParams(n, b, c, 2) for n in (1, 2, 3) for b in range(n)
               for c in range(2 * n)]
     runs = [((k, 0), params) for k in range(3) for params in covers]
@@ -878,10 +878,10 @@ def test_class_piece_memo_stays_within_its_bound():
         report = C.verify_thm82(lam, 2, lam[0] + 2, params)
         assert report["ok"], (lam, params)
         assert first.setdefault((lam, repr(params)), report) == report
-        assert 0 < len(C._PIECES_MEMO) <= C.PIECES_MEMO_MAX
-        cosets = MP.lattice_and_cosets(params)
-        assert C._cover_pieces(lam, params.nq, cosets) == C._class_pieces(
-            C.i_lambda(lam, 2, params.nq), lam, cosets)
+        assert 0 < C._cover_pieces.cache_info().currsize <= C.PIECES_MEMO_MAX
+        basis = MP.lattice_and_cosets(params).basis
+        assert C._cover_pieces(lam, *_cover_class(params)) == C._class_pieces(
+            C.i_lambda(lam, 2, params.nq), lam, basis)
         keys.add((lam,) + _cover_class(params))
     assert len(keys) > 2 * C.PIECES_MEMO_MAX
 
@@ -893,16 +893,16 @@ def test_charge_class_identity_ties_each_piece_to_its_class(monkeypatch):
     lam = (2, 1, 0)
     for params in (MP.CoverParams(2, 0, 1, 3), MP.CoverParams(3, 1, 0, 3)):
         assert C.verify_thm82(lam, 3, 5, params)["ok"]
-        cosets = MP.lattice_and_cosets(params)
+        basis = MP.lattice_and_cosets(params).basis
         full = C.i_lambda(lam, 3, params.nq)
-        assert split(full, lam, cosets).keys() != split(full, (0, 0, 0), cosets).keys()
+        assert split(full, lam, basis).keys() != split(full, (0, 0, 0), basis).keys()
         with monkeypatch.context() as patch:
             patch.setattr(C, "_class_pieces",
-                          lambda I, shape, cosets: split(I, (0,) * len(shape), cosets))
+                          lambda I, shape, basis: split(I, (0,) * len(shape), basis))
             # the class-piece memo is emptied before and after the patched split
-            C._PIECES_MEMO.clear()
+            C._cover_pieces.cache_clear()
             report = C.verify_thm82(lam, 3, 5, params)
-        C._PIECES_MEMO.clear()
+        C._cover_pieces.cache_clear()
         assert not report["ok"], params
         failed = [check for check in report["checks"] if not check["ok"]]
         assert failed and all(check["lhs"] == check["rhs"] for check in failed)

@@ -22,8 +22,9 @@ def _memos():
 def test_every_lru_cache_has_a_finite_bound():
     found = dict(_memos())
     # the walk reaches memos in every module that has one
-    assert {"metaice.crystal._pair_ok", "metaice.lattice._grid_row",
-            "metaice.scalar._gauss_merge", "metaice.cli._parser"} <= set(found)
+    assert {"metaice.crystal._pair_ok", "metaice.crystal._cover_pieces",
+            "metaice.lattice._grid_row", "metaice.scalar._gauss_merge",
+            "metaice.cli._parser"} <= set(found)
     for name, memo in found.items():
         maxsize = memo.cache_parameters()["maxsize"]
         assert type(maxsize) is int and maxsize > 0, (name, maxsize)

@@ -143,6 +143,37 @@ def test_lattice_against_brute_oracle(n):
                 assert cd.contains([0] * r)
 
 
+def test_kernel_basis_matches_the_residue_scan():
+    # every cover with n <= 6, r <= 5 and at most 4,096 residues: 838
+    covers = [MP.CoverParams(n, b, c, r) for n in range(1, 7) for r in range(1, 6)
+              if n ** r <= 4096 for b in range(n) for c in range(2 * n)]
+    assert len(covers) == 838
+    for p in covers:
+        cd, want = MP.lattice_and_cosets(p), oracles.kernel_basis_by_scan(p, MP)
+        assert (cd.basis, cd.index, cd.gamma) == (want.basis, want.index, want.gamma), p
+
+
+def test_rank_8_index_is_the_size_of_the_image():
+    # |Z^8 / kernel| = |B.Z^8 mod n| by the first isomorphism theorem; the
+    # image is the closure of 0 under adding B's columns mod n, with no
+    # normal form involved
+    covers = [MP.CoverParams(n, b, c, 8) for n in (1, 2, 3) for b in range(n)
+              for c in range(2 * n)]
+    assert len(covers) == 28
+    for p in covers:
+        columns = p.bilinear_matrix()   # symmetric: rows are the columns
+        image, frontier = {(0,) * 8}, [(0,) * 8]
+        while frontier:
+            v = frontier.pop()
+            for col in columns:
+                w = tuple((a + b) % p.n for a, b in zip(v, col))
+                if w not in image:
+                    image.add(w)
+                    frontier.append(w)
+        assert len(image) <= 3 ** 8
+        assert MP.lattice_and_cosets(p).index == len(image), p
+
+
 def test_coset_json_shape():
     cd = MP.lattice_and_cosets(MP.CoverParams(2, 1, 1, 2))
     blob = cd.to_json()
