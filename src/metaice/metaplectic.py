@@ -129,12 +129,10 @@ def reduce(basis, x):
 class CosetData:
     """Kernel lattice of x -> B.x mod n plus canonical coset labels.
 
-    basis is upper triangular; gamma lists every tuple in the pivot box
-    prod [0, basis[k][k]), each its own canonical representative; index
-    is the pivot product |Z^r / Lambda|.
+    basis is upper triangular; index is the pivot product |Z^r / Lambda|.
     """
 
-    __slots__ = ["params", "basis", "index", "gamma"]
+    __slots__ = ["params", "basis", "index"]
 
     def __init__(self, params, basis):
         self.params = params
@@ -142,8 +140,13 @@ class CosetData:
         self.index = 1
         for k in range(params.r):
             self.index *= basis[k][k]
-        self.gamma = [box for box in
-                      product(*[range(basis[k][k]) for k in range(params.r)])]
+
+    @property
+    def gamma(self):
+        """Every tuple in the pivot box prod [0, basis[k][k]), each its own
+        canonical representative; built on each read, since only reports
+        and tests list the classes."""
+        return list(product(*[range(row[k]) for k, row in enumerate(self.basis)]))
 
     def reduce(self, x):
         """Canonical representative of x modulo the lattice."""

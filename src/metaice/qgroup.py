@@ -110,7 +110,7 @@ def _assert_twist_cancelled(x):
     """The quarter v powers and half Gauss powers carried by the twist
     coefficients must cancel in any twisted entry."""
     for part in (x.num, x.den):
-        for (vq, _zex, gex) in part.terms:
+        for (vq, _zex, gex), _ in part.sparse_terms():
             if vq % 2:
                 raise AssertionError("quarter v power leaked: vq=%d" % vq)
             for a, e2 in gex:

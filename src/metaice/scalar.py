@@ -7,22 +7,26 @@ the rewrite rules
 
     g(0) = -v,        g(a) * g(modulus - a) = v    for a not cong 0.
 
-A monomial is keyed by (vq, z, gex): vq is 4x the v exponent, gex the
-canonical Gauss part, and z the z exponents packed into one int, a signed
-16-bit field per variable: z = sum(e_i << 16*(i-1)), the empty monomial
-being 0.  So the z part of a product is z1 + z2 and of an inverse -z.
-Every field keeps |e_i| < Z_LIMIT = 2^15: constructors refuse an exponent
-outside it, and a product (so also a power) raises ValueError when the
-exponent of a term pair would leave it, so no field ever carries into the
-next.  Each Scalar carries a bound on its exponents, so a product checks
-its operands' bounds and sums z parts pair by pair only near the limit.
-Scaling exponents to integers (quarters for v, halves for g) keeps keys
-hashable and arithmetic exact.  Scalar.sparse_terms() decodes z into
-sorted (index, exponent) pairs, and Scalar.from_sparse() packs them.
+A monomial is keyed by three ints (vq, z, g): vq is 4x the v exponent, z
+the z exponents packed into one int, a signed 16-bit field per variable:
+z = sum(e_i << 16*(i-1)), the empty monomial being 0.  g holds one symbol
+per mirror pair: g(0) = -v and g(modulus - a) = v g(a)^-1 go into the
+sign and vq on the way in, g >> 3 packs the signed doubled exponent of
+g(a) for each 0 < a < modulus - a at index a, like z, and the low 3 bits
+hold the doubled exponent in [0, 4) of the self-paired g(modulus/2).  So
+a product adds the three ints, carrying 4 from the low bits of g into vq
+as g(modulus/2)^2 = v.  Every packed field, z or Gauss, keeps |e| <
+Z_LIMIT = 2^15: constructors refuse an exponent outside it, and a product
+(so also a power) raises ValueError naming the variable or symbol when
+the exponent of a term pair would leave it, so no field ever carries into
+the next.  Each Scalar carries a bound on its packed exponents, so a
+product checks its operands' bounds and sums packed parts pair by pair
+only near the limit.  Only this module reads keys: Scalar.sparse_terms()
+decodes them (z into sorted (index, exponent) pairs, the Gauss part into
+gauss_normalize's canonical form), and Scalar.from_sparse() packs them.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 import random
 
@@ -51,14 +55,15 @@ def _as_halves(e):
     return int(h)
 
 
-Z_LIMIT = 1 << 15  # every packed z exponent has |e| < Z_LIMIT
+Z_LIMIT = 1 << 15  # every packed exponent has |e| < Z_LIMIT
 _Z_MASK = (1 << 16) - 1
 
 
-def _pack_z(pairs):
-    """Packed z part of (index, exponent) pairs; indices are ints >= 1,
-    and an index given twice has its exponents summed.  ValueError when
-    an exponent falls outside its field."""
+def _pack_z(pairs, symbol="z%d"):
+    """Packed form of (index, exponent) pairs; indices are ints >= 1,
+    and an index given twice has its exponents summed.  ValueError,
+    naming the variable by symbol % index, when an exponent falls
+    outside its field."""
     acc = {}
     for i, e in pairs:
         if type(i) is not int or i < 1:
@@ -67,13 +72,13 @@ def _pack_z(pairs):
     z = 0
     for i, e in acc.items():
         if type(e) is not int or not -Z_LIMIT < e < Z_LIMIT:
-            raise ValueError("z%d exponent %r outside (-2^15, 2^15)" % (i, e))
+            raise ValueError("%s exponent %r outside (-2^15, 2^15)" % (symbol % i, e))
         z += e << (16 * (i - 1))
     return z
 
 
 def _z_pairs(z):
-    """The sorted (index, exponent) pairs of a packed z part: the one
+    """The sorted (index, exponent) pairs of a packed part: the one
     decoder of the packed form."""
     pairs = []
     i = 1
@@ -84,6 +89,43 @@ def _z_pairs(z):
         z = (z - e) >> 16
         i += 1
     return tuple(pairs)
+
+
+_GAUSS = "doubled g(%d)"
+
+
+def _gauss_pack(pairs, nq):
+    """(sign, vq, g) of a product of Gauss symbols given as (index,
+    doubled exponent) pairs, packed as the module docstring says: the one
+    encoder of the Gauss part.  An index that is not an int, or a half
+    power of g(0), raises ValueError."""
+    if nq is None:
+        raise ValueError("gauss symbols need a modulus")
+    acc = {}
+    for a, e2 in pairs:
+        if type(a) is not int:
+            raise ValueError("gauss index must be an int: %r" % (a,))
+        acc[a % nq] = acc.get(a % nq, 0) + e2
+    e0 = acc.pop(0, 0)
+    if e0 % 2:
+        raise ValueError("half exponent on gauss index 0")
+    h = 0 if nq % 2 else acc.pop(nq // 2, 0)
+    # g(nq - a)^(e/2) = v^(e/2) g(a)^(-e/2)
+    high = [(nq - a, -e2) for a, e2 in acc.items() if 2 * a > nq]
+    packed = [(a, e2) for a, e2 in acc.items() if 2 * a < nq] + high
+    vq = 2 * (e0 - sum(e2 for _, e2 in high)) + h - h % 4
+    return (-1 if e0 % 4 else 1), vq, (_pack_z(packed, _GAUSS) << 3) + h % 4
+
+
+def _gauss_parts(vq, g, nq):
+    """(vq, gex) of a monomial's v and packed Gauss parts, gex in
+    gauss_normalize's canonical form: the one decoder of the Gauss part.
+    A negative exponent of g(a) is read as g(nq - a) times a power of v."""
+    gex = [(nq // 2, g & 7)] if g & 7 else []
+    for a, e2 in _z_pairs(g >> 3):
+        gex.append((a, e2) if e2 > 0 else (nq - a, -e2))
+        vq += 2 * min(e2, 0)
+    return vq, tuple(sorted(gex))
 
 
 def gauss_normalize(exps, nq):
@@ -100,64 +142,11 @@ def gauss_normalize(exps, nq):
     moves into the v power and the larger index keeps |s - t|; the
     self-paired index (modulus even, a = modulus/2) reduces its exponent
     mod 2 in integer steps only -- g(modulus/2) is never rewritten to a
-    half power of v.
+    half power of v.  A doubled exponent that the packed form would
+    store outside (-2^15, 2^15) raises ValueError.
     """
-    if nq is None:
-        raise ValueError("gauss symbols need a modulus")
-    acc = {}
-    for a, e2 in exps.items():
-        if e2:
-            r = a % nq
-            acc[r] = acc.get(r, 0) + e2
-    sign = 1
-    vq = 0
-    e2 = acc.pop(0, 0)
-    if e2:
-        if e2 % 2:
-            raise ValueError("half exponent on gauss index 0")
-        e = e2 // 2
-        if e % 2:
-            sign = -sign
-        vq += 4 * e
-    out = []
-    for a in sorted(acc):
-        b = nq - a
-        if a == b:
-            # self-paired index: g(a)^2 = v, integer steps
-            k, r2 = divmod(acc[a], 4)
-            vq += 4 * k
-            if r2:
-                out.append((a, r2))
-            continue
-        if a > b and b in acc:
-            continue  # already handled from the smaller side
-        lo, hi = (a, b) if a < b else (b, a)
-        s2 = acc.get(lo, 0)
-        t2 = acc.get(hi, 0)
-        m2 = min(s2, t2)
-        vq += 2 * m2
-        if s2 > t2:
-            out.append((lo, s2 - t2))
-        elif t2 > s2:
-            out.append((hi, t2 - s2))
-    out.sort()
-    return sign, vq, tuple(out)
-
-
-GAUSS_MERGE_MAX = 4096
-
-
-@lru_cache(maxsize=GAUSS_MERGE_MAX)
-def _gauss_merge(gex1, gex2, nq):
-    """gauss_normalize of the product of two Gauss parts, as a triple
-    (sign, vq, gex).  Cached per (gex1, gex2, nq), at most
-    GAUSS_MERGE_MAX = 4,096 entries, least recently used dropped first;
-    one benchmark pass meets 315 distinct pairs on exchange, 16 on grid
-    and 4 on crystal."""
-    g = dict(gex1)
-    for a, e in gex2:
-        g[a] = g.get(a, 0) + e
-    return gauss_normalize(g, nq)
+    sign, vq, g = _gauss_pack(exps.items(), nq)
+    return (sign,) + _gauss_parts(vq, g, nq)
 
 
 def _scalar(terms, nq, zb=None):
@@ -169,22 +158,24 @@ def _scalar(terms, nq, zb=None):
     return s
 
 
+def _unpacked(terms):
+    """The distinct (z pairs, Gauss pairs) of the keys of terms."""
+    return {(_z_pairs(z), _z_pairs(g >> 3)) for _, z, g in terms}
+
+
 def _product_bound(x, y):
-    """Bound on the z exponents of x * y from the operands' bounds, or
-    None after an exact check: near the field's limit every pair of z
-    parts is summed, and ValueError is raised when an exponent of a term
-    pair would leave its field."""
+    """Bound on the packed exponents of x * y from the operands' bounds,
+    or None after an exact check: near the field's limit every pair of
+    packed parts is summed, and ValueError is raised when an exponent of
+    a term pair would leave its field."""
     zb = x.z_bound() + y.z_bound()
     if zb < Z_LIMIT:
         return zb
-    second = {_z_pairs(key[1]) for key in y.terms}
-    for first in {_z_pairs(key[1]) for key in x.terms}:
-        for zex in second:
-            total = dict(first)
-            for i, e in zex:
-                total[i] = total.get(i, 0) + e
-            if any(abs(e) >= Z_LIMIT for e in total.values()):
-                raise ValueError("a z exponent of this product would leave (-2^15, 2^15)")
+    second = _unpacked(y.terms)
+    for zex, gex in _unpacked(x.terms):
+        for zex2, gex2 in second:
+            _pack_z(zex + zex2)
+            _pack_z(gex + gex2, _GAUSS)
     return None
 
 
@@ -194,8 +185,8 @@ class Scalar:
     terms maps packed monomial keys (module docstring) to nonzero integer
     coefficients and is not changed once the Scalar is built.  nq is the
     Gauss modulus, or None for elements that use no Gauss symbols.  zb is
-    a bound on |exponent| over all z exponents, or None until first asked
-    for (z_bound).
+    a bound on |exponent| over all packed exponents, z and Gauss, or None
+    until first asked for (z_bound).
     """
 
     __slots__ = ["terms", "nq", "zb"]
@@ -209,17 +200,22 @@ class Scalar:
 
     @staticmethod
     def from_int(n, nq=None):
-        return _scalar({(0, 0, ()): n} if n else {}, nq, 0)
+        return _scalar({(0, 0, 0): n} if n else {}, nq, 0)
 
     @staticmethod
     def from_sparse(items, nq=None):
         """The Scalar with terms ((vq, zex, gex), coef), zex being (index,
-        exponent) pairs and gex a canonical Gauss part: the inverse of
+        exponent) pairs and gex a tuple of (index, doubled exponent)
+        pairs of Gauss symbols, which need a modulus nq: the inverse of
         sparse_terms.  Equal monomials are summed."""
         terms = {}
+        packed = {(): (1, 0, 0)}  # terms often share a Gauss part
         for (vq, zex, gex), c in items:
-            key = (vq, _pack_z(zex), gex)
-            c = terms.get(key, 0) + c
+            if gex not in packed:
+                packed[gex] = _gauss_pack(gex, nq)
+            sign, dvq, g = packed[gex]
+            key = (vq + dvq, _pack_z(zex), g)
+            c = terms.get(key, 0) + sign * c
             if c:
                 terms[key] = c
             elif key in terms:
@@ -233,11 +229,11 @@ class Scalar:
         return bool(self.terms)
 
     def z_bound(self):
-        """A bound on |exponent| over the z exponents of every term; exact
-        when it is first computed here."""
+        """A bound on |exponent| over the packed exponents, z and Gauss, of
+        every term; exact when it is first computed here."""
         if self.zb is None:
-            self.zb = max((abs(e) for key, _ in self.sparse_terms() for _, e in key[1]),
-                          default=0)
+            self.zb = max((abs(e) for pairs in _unpacked(self.terms) for part in pairs
+                           for _, e in part), default=0)
         return self.zb
 
     # -- ring structure ------------------------------------------------
@@ -292,13 +288,10 @@ class Scalar:
         items = other.terms.items()
         for (vq1, z1, g1), c1 in self.terms.items():
             for (vq2, z2, g2), c2 in items:
-                if g1 or g2:
-                    sign, dvq, g = _gauss_merge(g1, g2, nq)
-                    key = (vq1 + vq2 + dvq, z1 + z2, g)
-                    c = get(key, 0) + sign * c1 * c2
-                else:
-                    key = (vq1 + vq2, z1 + z2, ())
-                    c = get(key, 0) + c1 * c2
+                g = g1 + g2
+                # a self-paired field that reaches 4 carries: g(nq/2)^2 = v
+                key = (vq1 + vq2 + 4, z1 + z2, g - 4) if g & 4 else (vq1 + vq2, z1 + z2, g)
+                c = get(key, 0) + c1 * c2
                 if c:
                     out[key] = c
                 else:
@@ -325,15 +318,15 @@ class Scalar:
         """Inverse of a monomial unit (single term, coefficient +-1)."""
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible here")
-        (vq, z, gex), c = next(iter(self.terms.items()))
+        (vq, z, g), c = next(iter(self.terms.items()))
         if c not in (1, -1):
             raise ValueError("unit coefficient must be +-1, got %r" % (c,))
         zb = self.z_bound()
         if zb >= Z_LIMIT:
-            raise ValueError("z exponent outside (-2^15, 2^15)")
-        g = {a: -e for a, e in gex}
-        sign, dvq, gex2 = gauss_normalize(g, self.nq) if g else (1, 0, ())
-        return _scalar({(-vq + dvq, -z, gex2): c * sign}, self.nq, zb)
+            raise ValueError("an exponent outside (-2^15, 2^15)")
+        # g(nq/2)^(-h/2) = v^-1 g(nq/2)^((4 - h)/2) keeps the field in [0, 4)
+        key = (-vq - 4, -z, 4 - g) if g & 7 else (-vq, -z, -g)
+        return _scalar({key: c}, self.nq, zb)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -348,13 +341,16 @@ class Scalar:
 
     def sparse_terms(self):
         """Yield ((vq, zex, gex), coef) per term, zex being the sorted
-        (index, exponent) pairs of its z part."""
-        decoded = {}  # terms often share a z part
-        for (vq, z, gex), c in self.terms.items():
-            zex = decoded.get(z)
-            if zex is None:
-                zex = decoded[z] = _z_pairs(z)
-            yield (vq, zex, gex), c
+        (index, exponent) pairs of its z part and gex its canonical Gauss
+        part (gauss_normalize)."""
+        zs, gs = {}, {0: (0, ())}  # terms often share a z part and a Gauss part
+        for (vq, z, g), c in self.terms.items():
+            if z not in zs:
+                zs[z] = _z_pairs(z)
+            if g not in gs:
+                gs[g] = _gauss_parts(0, g, self.nq)
+            dvq, gex = gs[g]
+            yield (vq + dvq, zs[z], gex), c
 
     def permute_z(self, perm):
         """Relabel z variables; perm maps old index -> new index and must
@@ -364,12 +360,12 @@ class Scalar:
             raise ValueError("z relabelling %r is not a permutation" % (perm,))
         moved = {z: _pack_z((perm.get(i, i), e) for i, e in _z_pairs(z))
                  for z in {key[1] for key in self.terms}}
-        return _scalar({(vq, moved[z], gex): c for (vq, z, gex), c in self.terms.items()},
+        return _scalar({(vq, moved[z], g): c for (vq, z, g), c in self.terms.items()},
                        self.nq, self.zb)
 
     def assert_integral(self):
         """Raise unless all v powers are integers and g powers integral."""
-        for (vq, _z, gex) in self.terms:
+        for (vq, _z, gex), _ in self.sparse_terms():
             if vq % 4:
                 raise AssertionError("quarter v power leaked: vq=%d" % vq)
             for a, e2 in gex:
@@ -458,18 +454,18 @@ def zero(nq=None):
 
 
 def v_pow(e, nq=None):
-    return _scalar({(_as_quarters(e), 0, ()): 1}, nq, 0)
+    return _scalar({(_as_quarters(e), 0, 0): 1}, nq, 0)
 
 
 def z_pow(i, e, nq=None):
     if e == 0:
         return one(nq)
-    return _scalar({(0, _pack_z(((i, e),)), ()): 1}, nq, abs(e))
+    return _scalar({(0, _pack_z(((i, e),)), 0): 1}, nq, abs(e))
 
 
 def z_mono(vec, nq=None):
     """z^vec for an integer vector; vec[k] is the exponent of z_{k+1}."""
-    return _scalar({(0, _pack_z((i + 1, e) for i, e in enumerate(vec)), ()): 1}, nq,
+    return _scalar({(0, _pack_z((i + 1, e) for i, e in enumerate(vec)), 0): 1}, nq,
                    max(map(abs, vec), default=0))
 
 
@@ -477,8 +473,8 @@ def gauss_pow(a, e, nq):
     e2 = _as_halves(e)
     if not e2:
         return one(nq)
-    sign, vq, gex = _gauss_merge(((a, e2),), (), nq)
-    return _scalar({(vq, 0, gex): sign}, nq, 0)
+    sign, vq, g = _gauss_pack(((a, e2),), nq)
+    return _scalar({(vq, 0, g): sign}, nq)
 
 
 def gauss(a, nq):
@@ -689,15 +685,15 @@ class ModAssignment:
         return self.z[i]
 
     def monomial(self, key):
-        """Residue of the monomial with packed key (vq, z, gex) and
+        """Residue of the monomial with packed key (vq, z, g) and
         coefficient 1."""
         val = self.monomials.get(key)
         if val is not None:
             return val
         p = self.p
-        vq, z, gex = key
+        vq, gex = _gauss_parts(key[0], key[2], self.nq)
         val = pow(self.u, vq % (p - 1), p)
-        for i, e in _z_pairs(z):
+        for i, e in _z_pairs(key[1]):
             val = val * pow(self.z_value(i), e % (p - 1), p) % p
         for a, e2 in gex:
             if 2 * a == self.nq:

@@ -43,6 +43,68 @@ def eval_gauss_raw(exps, asg):
     return val
 
 
+# -- the Gauss rewrite rules, one after another -------------------------
+
+def gauss_normalize_by_rules(exps, nq):
+    """Canonical form of a product of Gauss symbols at the given modulus,
+    one rewrite rule after another: scalar.gauss_normalize before the
+    Gauss part of a monomial was packed, kept as its reference.
+
+    exps maps integer indices to doubled exponents.  Returns a triple
+    (sign, vq, gex): sign in {1,-1}, vq a quarter-scaled v exponent picked
+    up from the rewrite rules, gex a sorted tuple of (index, doubled
+    exponent) pairs with indices in (0, modulus), at most one index of
+    each mirror pair {a, modulus-a} present, surviving exponents positive.
+
+    Rules applied: indices reduce mod the modulus; g(0)^e = (-1)^e v^e
+    (integer e only); for a mirror pair with exponents (s, t) the smaller
+    moves into the v power and the larger index keeps |s - t|; the
+    self-paired index (modulus even, a = modulus/2) reduces its exponent
+    mod 2 in integer steps only -- g(modulus/2) is never rewritten to a
+    half power of v.
+    """
+    if nq is None:
+        raise ValueError("gauss symbols need a modulus")
+    acc = {}
+    for a, e2 in exps.items():
+        if e2:
+            r = a % nq
+            acc[r] = acc.get(r, 0) + e2
+    sign = 1
+    vq = 0
+    e2 = acc.pop(0, 0)
+    if e2:
+        if e2 % 2:
+            raise ValueError("half exponent on gauss index 0")
+        e = e2 // 2
+        if e % 2:
+            sign = -sign
+        vq += 4 * e
+    out = []
+    for a in sorted(acc):
+        b = nq - a
+        if a == b:
+            # self-paired index: g(a)^2 = v, integer steps
+            k, r2 = divmod(acc[a], 4)
+            vq += 4 * k
+            if r2:
+                out.append((a, r2))
+            continue
+        if a > b and b in acc:
+            continue  # already handled from the smaller side
+        lo, hi = (a, b) if a < b else (b, a)
+        s2 = acc.get(lo, 0)
+        t2 = acc.get(hi, 0)
+        m2 = min(s2, t2)
+        vq += 2 * m2
+        if s2 > t2:
+            out.append((lo, s2 - t2))
+        elif t2 > s2:
+            out.append((hi, t2 - s2))
+    out.sort()
+    return sign, vq, tuple(out)
+
+
 # -- tuple-keyed ring ------------------------------------------------------
 
 class TupleKeyScalar:
@@ -50,8 +112,8 @@ class TupleKeyScalar:
     of (index, exponent) pairs: the product, display and serialization
     that scalar.Scalar had before its z exponents were packed into one
     int, kept unchanged as the reference for the packed ring.  The Gauss
-    rewrite is the package's gauss_normalize, which its own tests check
-    against raw periodicity."""
+    rewrite is passed in: gauss_normalize_by_rules, which the tests check
+    against raw periodicity and against the package's gauss_normalize."""
 
     def __init__(self, terms, nq, gauss_normalize):
         self.terms = dict(terms)

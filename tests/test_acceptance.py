@@ -176,7 +176,7 @@ def test_criterion_10_degeneration_at_modulus_one():
         for state in states:
             assert state.is_admissible(1)
             assert not oracles.has_gauss(L.boltzmann_weight(state, 1))
-        for key in C.i_lambda(lam, r, 1).terms:
-            assert key[2] == ()
+        for (_, _, gex), _ in C.i_lambda(lam, r, 1).sparse_terms():
+            assert gex == ()
     involution = RV.check_scattering_involution(1, 1)
     assert involution["ok"], involution["failures"][:3]

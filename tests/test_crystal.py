@@ -188,8 +188,8 @@ def test_rank_one_generating_sum_is_unit():
 
 def test_generating_sum_modulus_one_is_fully_evaluated():
     for lam, r in (((2, 2, 0), 3), ((3, 1), 2)):
-        for key in C.i_lambda(lam, r, 1).terms:
-            assert key[2] == ()
+        for (_, _, gex), _ in C.i_lambda(lam, r, 1).sparse_terms():
+            assert gex == ()
 
 
 def test_transfer_matches_the_node_by_node_sum():

@@ -1,8 +1,10 @@
 """Ground-ring unit tests: canonical forms, ring axioms, modular points."""
 
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,21 @@ from metaice.scalar import (
     make_assignment, eval_scalar_mod, eval_frac_mod,
 )
 
-from oracles import TupleKeyScalar, eval_gauss_raw, z_split
+from oracles import TupleKeyScalar, eval_gauss_raw, gauss_normalize_by_rules, z_split
+
+
+# -- the key format stays in one module -------------------------------------
+
+def test_only_the_scalar_module_reads_raw_keys():
+    # a monomial key's layout is scalar.py's to change: every other module
+    # goes through sparse_terms and from_sparse
+    readers = set()
+    for path in Path(S.__file__).parent.glob("*.py"):
+        if path.name != "scalar.py":
+            tree = ast.parse(path.read_text(), str(path))
+            readers.update((path.name, node.lineno) for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute) and node.attr == "terms")
+    assert not readers, sorted(readers)
 
 
 # -- frozen normalization cases ------------------------------------------
@@ -66,6 +82,7 @@ def test_pair_relation_as_scalars():
             assert S.gauss(a, nq) * S.gauss(nq - a, nq) == S.v_pow(1, nq)
     assert S.gauss(0, 3) == -S.v_pow(1, 3)
     assert S.gauss(3, 3) == -S.v_pow(1, 3)
+    assert S.gauss_pow(1, 4, 7) * S.gauss_pow(1, 6, 7) == S.gauss_pow(1, 10, 7)
 
 
 def test_gauss_eval_cases():
@@ -139,6 +156,36 @@ def test_normalize_idempotent_and_multiplicative():
         assert (s1 * s2 * s3, v1 + v2 + v3, g3) == (sm, vm, gm)
 
 
+def test_gauss_normalize_matches_the_rule_oracle():
+    rng = random.Random(20261020)
+    seen = set()
+    for trial in range(3000):
+        nq = trial % 8 + 1
+        # indices in [-nq, 2 nq]: index 0 and its shifts, both members of
+        # a mirror pair, negative and half exponents
+        exps = {rng.randrange(-nq, 2 * nq + 1): rng.randrange(-7, 8)
+                for _ in range(rng.randrange(0, 6))}
+        try:
+            want = gauss_normalize_by_rules(exps, nq)
+        except ValueError:
+            with pytest.raises(ValueError, match="half exponent on gauss index 0"):
+                gauss_normalize(exps, nq)
+            seen.add("odd index 0")
+            continue
+        assert gauss_normalize(exps, nq) == want, (exps, nq)
+        residues = {a % nq for a, e in exps.items() if e}
+        seen.update(tag for tag, hit in (
+            ("index 0", 0 in residues),
+            ("negative", any(e < 0 for e in exps.values())),
+            ("half", any(e % 2 for e in exps.values())),
+            ("mirror pair", any(0 < 2 * a < nq and nq - a in residues for a in residues)),
+            ("self-paired", nq % 2 == 0 and nq // 2 in residues)) if hit)
+    assert seen == {"odd index 0", "index 0", "negative", "half", "mirror pair",
+                    "self-paired"}
+    with pytest.raises(ValueError):
+        gauss_normalize({1: 2}, None)
+
+
 # -- ring axioms on random elements ----------------------------------------
 
 def random_scalar(rng, nq, nterms=3):
@@ -170,7 +217,7 @@ def _random_sparse(rng, nq, nterms=4):
             for _ in range(rng.randrange(0, 3)):
                 a = rng.randrange(1, nq)
                 exps[a] = exps.get(a, 0) + rng.randrange(-3, 4)
-        sign, vq, gex = gauss_normalize(exps, nq)
+        sign, vq, gex = gauss_normalize_by_rules(exps, nq)
         items.append(((vq + rng.randrange(-6, 7), zex, gex), sign * rng.choice((-3, -1, 1, 2))))
     return items
 
@@ -179,7 +226,7 @@ def _tuple_key(items, nq):
     terms = {}
     for key, c in items:
         terms[key] = terms.get(key, 0) + c
-    return TupleKeyScalar({k: c for k, c in terms.items() if c}, nq, gauss_normalize)
+    return TupleKeyScalar({k: c for k, c in terms.items() if c}, nq, gauss_normalize_by_rules)
 
 
 def _dump(x):
@@ -208,6 +255,28 @@ def test_packed_ring_matches_the_tuple_key_oracle():
             assert _dump(Scalar.from_json(json.loads(_dump(got)))) == _dump(ref)
 
 
+def test_inverse_and_powers_match_the_rule_oracle():
+    rng = random.Random(20261021)
+    for trial in range(240):
+        nq = trial % 8 + 1
+        (key, _), = _random_sparse(rng, nq, nterms=1)
+        coef = rng.choice((1, -1))
+        m, om = Scalar.from_sparse([(key, coef)], nq), _tuple_key([(key, coef)], nq)
+        vq, zex, gex = key
+        sign, dvq, gex2 = gauss_normalize_by_rules({a: -e for a, e in gex}, nq)
+        inverse = {(dvq - vq, tuple((i, -e) for i, e in zex), gex2): sign * coef}
+        assert dict(m.inverse().sparse_terms()) == inverse, (key, nq)
+        items = _random_sparse(rng, nq, nterms=3)
+        x, ox = Scalar.from_sparse(items, nq), _tuple_key(items, nq)
+        unit = TupleKeyScalar({(0, (), ()): 1}, nq, gauss_normalize_by_rules)
+        oinv = TupleKeyScalar(inverse, nq, gauss_normalize_by_rules)
+        ox_k, om_k, oinv_k = unit, unit, unit
+        for k in range(4):
+            for got, ref in ((x ** k, ox_k), (m ** k, om_k), (m ** -k, oinv_k)):
+                assert dict(got.sparse_terms()) == ref.terms, (trial, k)
+            ox_k, om_k, oinv_k = ox_k * ox, om_k * om, oinv_k * oinv
+
+
 def test_z_exponents_outside_the_field_are_refused():
     top = S.Z_LIMIT - 1
     for bad in (S.Z_LIMIT, -S.Z_LIMIT, 1 << 20):
@@ -220,7 +289,7 @@ def test_z_exponents_outside_the_field_are_refused():
                 {"coef": 1, "vexp": [0, 1], "zexp": [[2, bad]], "gauss": []}]})
     # a field that a raw key filled with -2^15 has no inverse in range
     with pytest.raises(ValueError):
-        Scalar({(0, -S.Z_LIMIT, ()): 1}).inverse()
+        Scalar({(0, -S.Z_LIMIT, 0): 1}).inverse()
     x = S.z_pow(1, top) * S.z_pow(2, 5)
     for overflow in (lambda: x * S.z_pow(1, 1), lambda: S.z_pow(1, -top) * S.z_pow(1, -1),
                      lambda: (S.one() - x) * S.z_pow(1, 1), lambda: (x + 1) * (x + 1),
@@ -242,16 +311,45 @@ def test_z_exponents_outside_the_field_are_refused():
     assert S.z_pow(1, 20000) * S.z_pow(1, -20000) == S.one()
 
 
-def test_gauss_merge_cache_stays_within_its_bound():
-    S._gauss_merge.cache_clear()
-    nq = 7
-    powers = [S.gauss_pow(1, k, nq) for k in range(1, 70)]  # 69^2 > 4096 pairs
-    for x in powers:
-        for y in powers:
-            x * y
-    info = S._gauss_merge.cache_info()
-    assert info.maxsize == S.GAUSS_MERGE_MAX and 0 < info.currsize <= S.GAUSS_MERGE_MAX
-    assert powers[3] * powers[5] == S.gauss_pow(1, 10, nq)
+def test_gauss_exponents_outside_the_field_are_refused():
+    top = S.Z_LIMIT - 1  # the largest doubled exponent a field holds
+    for bad in (S.Z_LIMIT, -S.Z_LIMIT, 1 << 20):
+        # g(4) at modulus 5 is stored as v g(1)^-1, so both name g(1)
+        for a in (1, 4, 6):
+            with pytest.raises(ValueError, match=r"doubled g\(1\) exponent"):
+                S.gauss_pow(a, Fraction(bad, 2), 5)
+        with pytest.raises(ValueError, match=r"doubled g\(2\) exponent"):
+            Scalar.from_sparse([((0, (), ((2, bad),)), 1)], 5)
+        with pytest.raises(ValueError, match=r"doubled g\(1\) exponent"):
+            Scalar.from_json({"nq": 5, "terms": [
+                {"coef": 1, "vexp": [0, 1], "zexp": [], "gauss": [[1, bad, 2]]}]})
+    g = S.gauss_pow(1, Fraction(top, 2), 5)
+    for overflow in (lambda: g * S.gauss(1, 5), lambda: g * S.gauss(4, 5).inverse(),
+                     lambda: (g + 1) * (g + 1), lambda: g ** 2):
+        with pytest.raises(ValueError, match=r"doubled g\(1\) exponent"):
+            overflow()
+    with pytest.raises(ValueError, match=r"^z1 exponent"):
+        S.z_pow(1, top) * S.z_pow(1, 1)
+    # g(0) and the self-paired symbol are rewritten, never stored
+    assert S.gauss_pow(0, 1 << 20, 5) == S.v_pow(1 << 20, 5)
+    assert S.gauss_pow(2, 1 << 20, 4) == S.v_pow(1 << 19, 4)
+    # near the limit the Gauss parts are summed pair by pair too
+    assert g * S.gauss(4, 5) == S.v_pow(1, 5) * S.gauss_pow(1, Fraction(top - 2, 2), 5)
+    assert list((g * S.gauss_pow(1, -Fraction(top, 2), 5)).sparse_terms()) == \
+        [((0, (), ()), 1)]
+    # a Gauss index is an int, whatever the modulus reduces it to
+    for bad in (1.5, "1", True):
+        with pytest.raises(ValueError, match="gauss index must be an int"):
+            S.gauss_pow(bad, 1, 5)
+        with pytest.raises(ValueError, match="gauss index must be an int"):
+            Scalar.from_sparse([((0, (), ((bad, 2),)), 1)], 5)
+    # Gauss symbols need a modulus
+    with pytest.raises(ValueError, match="need a modulus"):
+        Scalar.from_sparse([((0, (), ((1, 2),)), 1)])
+    with pytest.raises(ValueError, match="need a modulus"):
+        Scalar.from_json({"nq": None, "terms": [
+            {"coef": 1, "vexp": [0, 1], "zexp": [], "gauss": [[1, 1, 1]]}]})
+    assert Scalar.from_sparse([((4, ((1, 2),), ()), 3)]) == 3 * S.v_pow(1) * S.z_pow(1, 2)
 
 
 def test_ring_axioms():
