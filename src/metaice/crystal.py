@@ -45,11 +45,6 @@ def _layout(r):
     return _Layout(roots, layers, flat, in_root_order, template)
 
 
-# every entry of a row but its first, and but its last
-_tail = itemgetter(slice(1, None))
-_head = itemgetter(slice(None, -1))
-
-
 def _long_word(r):
     # fixed reduced word (r, r-1, r, ..., 1, 2, ..., r)
     word = []
@@ -130,21 +125,19 @@ class CrystalNode:
 
 class GTPattern:
     """Triangular array, rows 0..r-1; row k holds a_{k,l} for l = k..r-1
-    and interleaves with the row above: a_{k-1,l} <= a_{k,l} <= a_{k-1,l-1}.
-    Strict patterns also decrease strictly within every row.  The
-    constructor validates its rows; the package's bijections build
-    patterns valid by construction through _trusted, which skips the
-    checks."""
+    and interleaves with the row above: a_{k-1,l} <= a_{k,l} <= a_{k-1,l-1},
+    and every row decreases strictly.  A pattern is always strict: the
+    constructor refuses any other rows, and the package's bijections
+    build patterns valid by construction through _trusted, which skips
+    the checks."""
 
     __slots__ = ["r", "rows"]
 
-    def __init__(self, rows, strict=True):
+    def __init__(self, rows):
         rows = tuple(map(tuple, rows))
         # the type test comes before the pair memo: (2.0, 0) == (2, 0)
         if not (set(map(type, chain.from_iterable(rows))) == {int} and _rows_ok(rows)):
-            error = _pattern_error(rows, strict)
-            if error is not None:
-                raise error
+            raise _pattern_error(rows)
         self.r = len(rows)
         self.rows = rows
 
@@ -160,9 +153,6 @@ class GTPattern:
     def entry(self, k, l):
         return self.rows[k][l - k]
 
-    def is_strict(self):
-        return _rows_strict(self.rows)
-
     def __eq__(self, other):
         return isinstance(other, GTPattern) and self.rows == other.rows
 
@@ -173,12 +163,6 @@ class GTPattern:
 
     def to_json(self):
         return [list(row) for row in self.rows]
-
-
-def _rows_strict(rows):
-    """Every row strictly decreasing, in one pass over all the rows."""
-    return all(map(gt, chain.from_iterable(map(_head, rows)),
-                   chain.from_iterable(map(_tail, rows))))
 
 
 # the three row-pair memos below share the bound of lattice's row memos
@@ -216,10 +200,10 @@ def _rows_ok(rows):
     return bool(rows) and len(rows[-1]) == 1 and all(map(_pair_ok, rows, rows[1:]))
 
 
-def _pattern_error(rows, strict=True):
-    """The ValueError naming the first fault of rows, tested in the order
-    row count and lengths, entry types, interleaving (first failing pair
-    of rows), strictness; None when there is none."""
+def _pattern_error(rows):
+    """The ValueError naming the first fault of rows that _rows_ok or the
+    int test refuses, tested in the order row count and lengths, entry
+    types, interleaving (first failing pair of rows), strictness."""
     r = len(rows)
     if r < 1:
         return ValueError("pattern needs at least one row")
@@ -232,9 +216,7 @@ def _pattern_error(rows, strict=True):
         above, row = rows[k - 1], rows[k]
         if not (all(map(le, above[1:], row)) and all(map(le, row, above))):
             return ValueError("rows %d and %d do not interleave" % (k - 1, k))
-    if strict and not _rows_strict(rows):
-        return ValueError("pattern rows must strictly decrease")
-    return None
+    return ValueError("pattern rows must strictly decrease")
 
 
 class Decoration:
@@ -474,17 +456,14 @@ def ice_to_gt(state):
 def gt_to_ice(pattern, N=None):
     """Grid filling with - vertical spins at the pattern's column labels,
     horizontal spins propagated right to left from the - right boundary.
-    A pattern need not be strict, so strictness is checked here, with
-    the width N, nonnegative labels and the propagation."""
+    A pattern is strict, so what is left to check is the width N, the
+    smallest label (the last entry of the top row) and the propagation."""
     rows = pattern.rows
-    # _rows_ok implies strictness and reads the pair memo
-    if not (_rows_ok(rows) or _rows_strict(rows)):
-        raise ValueError("pattern rows must strictly decrease")
     if N is None:
         N = rows[0][0] + 1
     if N < rows[0][0] + 1:
         raise ValueError("need N > the top row maximum")
-    if rows[-1][0] < 0:
+    if rows[0][-1] < 0:
         raise ValueError("column labels must be nonnegative")
     # one memoised grid row per row pair, bottom row first
     bands, horizontal = zip(*map(L._grid_row, rows[::-1], ((),) + rows[:0:-1], repeat(N)))

@@ -65,6 +65,15 @@ def check_modulus(nq):
         raise ValueError("modulus must be a positive integer")
 
 
+def check_charges(charges, r, nq):
+    """charges as a tuple; ValueError unless it holds r residues in (0, nq],
+    ints with bool refused."""
+    charges = tuple(charges)
+    if len(charges) != r or any(type(c) is not int or not 0 < c <= nq for c in charges):
+        raise ValueError("left charges must be r residues in (0, nq]")
+    return charges
+
+
 def _top_row(lam, r):
     """lambda + rho: the column labels of the top row's - spins."""
     return tuple(map(add, lam, range(r - 1, -1, -1)))
@@ -90,11 +99,8 @@ class System:
         self.nq = nq
         self.top_minus = frozenset(_top_row(lam, r))
         self.top = _band(self.top_minus, N)
-        if left_charges is not None:
-            left_charges = tuple(left_charges)
-            if len(left_charges) != r or any(not 0 < c <= nq for c in left_charges):
-                raise ValueError("left charges must be r residues in (0, nq]")
-        self.left_charges = left_charges
+        self.left_charges = (None if left_charges is None
+                             else check_charges(left_charges, r, nq))
 
 
 def boundary_from_partition(lam, r=None, N=None, nq=1, left_charges=None):
@@ -183,7 +189,7 @@ def _row_weight(north, south, hrow, row, nq, charge=0):
     """Product of the vertex weights along one grid row, z index row, in
     closed form: z_row^(-nq k), k counting the a1 and b1 vertices whose
     east charge is divisible by nq and every c1, times the Gauss symbols
-    g(east charge) of the b1 vertices normalised once, times
+    g(east charge) of the b1 vertices, encoded once by from_sparse, times
     (1 - v)^(number of c1); zero when a vertex is none of the six types.
     charge counts the + spins east of the last edge, 0 on a grid."""
     k = c1 = 0
@@ -200,9 +206,9 @@ def _row_weight(north, south, hrow, row, nq, charge=0):
             k += charge % nq == 0
             if kind == "b1":
                 gauss[charge] = gauss.get(charge, 0) + 2
-    sign, vq, gex = S.gauss_normalize(gauss, nq) if gauss else (1, 0, ())
+    gex = tuple(gauss.items())
     zex = ((row, -nq * k),) if k else ()
-    return S.Scalar.from_sparse([((vq + 4 * i, zex, gex), (-1) ** i * sign * comb(c1, i))
+    return S.Scalar.from_sparse([((4 * i, zex, gex), (-1) ** i * comb(c1, i))
                                  for i in range(c1 + 1)], nq)
 
 
@@ -391,9 +397,11 @@ def _class_map(system):
 
 
 def partition_function(system, charges=None):
-    """Z(S; c) for the left-charge class c (entries in (0, nq]), by
-    default the system's own; the sum over all classes when neither is set."""
-    charges = system.left_charges if charges is None else tuple(charges)
+    """Z(S; c) for the left-charge class c (r entries in (0, nq], else
+    ValueError), by default the system's own; the sum over all classes
+    when neither is set."""
+    charges = (system.left_charges if charges is None
+               else check_charges(charges, system.r, system.nq))
     if charges is None:
         return sum(_class_map(system).values(), S.zero(system.nq))
     return _class_map(system).get(charges, S.zero(system.nq))

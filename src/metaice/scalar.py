@@ -34,25 +34,15 @@ import random
 DEFAULT_PRIME = (1 << 61) - 1
 
 
-def _as_quarters(e):
-    # accept int or Fraction with denominator dividing 4
+def _scaled(e, k, what):
+    """k * e as an int, for an int e or an e that Fraction takes with k * e
+    integral; ValueError naming the exponent (what) otherwise."""
     if type(e) is int:
-        return 4 * e
-    f = Fraction(e)
-    q = f * 4
-    if q.denominator != 1:
-        raise ValueError("v exponent must be a multiple of 1/4: %r" % (e,))
-    return int(q)
-
-
-def _as_halves(e):
-    if type(e) is int:
-        return 2 * e
-    f = Fraction(e)
-    h = f * 2
-    if h.denominator != 1:
-        raise ValueError("gauss exponent must be a multiple of 1/2: %r" % (e,))
-    return int(h)
+        return k * e
+    scaled = Fraction(e) * k
+    if scaled.denominator != 1:
+        raise ValueError("%s exponent must be a multiple of 1/%d: %r" % (what, k, e))
+    return int(scaled)
 
 
 Z_LIMIT = 1 << 15  # every packed exponent has |e| < Z_LIMIT
@@ -143,7 +133,8 @@ def gauss_normalize(exps, nq):
     self-paired index (modulus even, a = modulus/2) reduces its exponent
     mod 2 in integer steps only -- g(modulus/2) is never rewritten to a
     half power of v.  A doubled exponent that the packed form would
-    store outside (-2^15, 2^15) raises ValueError.
+    store outside (-2^15, 2^15) raises ValueError.  The package's own
+    builders hand raw pairs to from_sparse instead, which encodes once.
     """
     sign, vq, g = _gauss_pack(exps.items(), nq)
     return (sign,) + _gauss_parts(vq, g, nq)
@@ -186,21 +177,14 @@ class Scalar:
     coefficients and is not changed once the Scalar is built.  nq is the
     Gauss modulus, or None for elements that use no Gauss symbols.  zb is
     a bound on |exponent| over all packed exponents, z and Gauss, or None
-    until first asked for (z_bound).
+    until first asked for (z_bound).  There is no raw-key constructor:
+    keys enter through from_sparse, from_json and the module's
+    constructors, which check every exponent, and through products.
     """
 
     __slots__ = ["terms", "nq", "zb"]
 
-    def __init__(self, terms=None, nq=None):
-        self.terms = dict(terms) if terms else {}
-        self.nq = nq
-        self.zb = None
-
     # -- construction helpers ------------------------------------------
-
-    @staticmethod
-    def from_int(n, nq=None):
-        return _scalar({(0, 0, 0): n} if n else {}, nq, 0)
 
     @staticmethod
     def from_sparse(items, nq=None):
@@ -247,7 +231,7 @@ class Scalar:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = Scalar.from_int(other)
+            other = integer(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         nq = self._join_nq(other)
@@ -268,7 +252,7 @@ class Scalar:
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = Scalar.from_int(other)
+            other = integer(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return self + (-other)
@@ -278,7 +262,7 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = Scalar.from_int(other)
+            other = integer(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         nq = self._join_nq(other)
@@ -305,7 +289,7 @@ class Scalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = Scalar.from_int(1, self.nq)
+        result = one(self.nq)
         base = self
         while n:
             if n & 1:
@@ -321,16 +305,13 @@ class Scalar:
         (vq, z, g), c = next(iter(self.terms.items()))
         if c not in (1, -1):
             raise ValueError("unit coefficient must be +-1, got %r" % (c,))
-        zb = self.z_bound()
-        if zb >= Z_LIMIT:
-            raise ValueError("an exponent outside (-2^15, 2^15)")
         # g(nq/2)^(-h/2) = v^-1 g(nq/2)^((4 - h)/2) keeps the field in [0, 4)
         key = (-vq - 4, -z, 4 - g) if g & 7 else (-vq, -z, -g)
-        return _scalar({key: c}, self.nq, zb)
+        return _scalar({key: c}, self.nq, self.zb)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Scalar.from_int(other)
+            other = integer(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.terms == other.terms
@@ -431,9 +412,9 @@ class Scalar:
         items = []
         for t in obj["terms"]:
             vn, vd = t["vexp"]
-            items.append(((_as_quarters(Fraction(vn, vd)),
+            items.append(((_scaled(Fraction(vn, vd), 4, "v"),
                            [(int(i), int(e)) for i, e in t["zexp"]],
-                           tuple(sorted((int(a), _as_halves(Fraction(n, d)))
+                           tuple(sorted((int(a), _scaled(Fraction(n, d), 2, "gauss"))
                                         for a, n, d in t["gauss"]))),
                           t["coef"]))
         return Scalar.from_sparse(items, obj.get("nq"))
@@ -442,11 +423,11 @@ class Scalar:
 # -- convenience constructors -------------------------------------------
 
 def integer(n, nq=None):
-    return Scalar.from_int(n, nq)
+    return _scalar({(0, 0, 0): n} if n else {}, nq, 0)
 
 
 def one(nq=None):
-    return Scalar.from_int(1, nq)
+    return integer(1, nq)
 
 
 def zero(nq=None):
@@ -454,7 +435,7 @@ def zero(nq=None):
 
 
 def v_pow(e, nq=None):
-    return _scalar({(_as_quarters(e), 0, 0): 1}, nq, 0)
+    return _scalar({(_scaled(e, 4, "v"), 0, 0): 1}, nq, 0)
 
 
 def z_pow(i, e, nq=None):
@@ -470,7 +451,7 @@ def z_mono(vec, nq=None):
 
 
 def gauss_pow(a, e, nq):
-    e2 = _as_halves(e)
+    e2 = _scaled(e, 2, "gauss")
     if not e2:
         return one(nq)
     sign, vq, g = _gauss_pack(((a, e2),), nq)
@@ -512,11 +493,11 @@ class Frac:
 
     def __init__(self, num, den=None):
         if isinstance(num, int):
-            num = Scalar.from_int(num)
+            num = integer(num)
         if den is None:
             den = one(num.nq)
         elif isinstance(den, int):
-            den = Scalar.from_int(den)
+            den = integer(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num

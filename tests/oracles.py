@@ -734,10 +734,6 @@ def _layer_roots(r):
     return [[(r - k - q, r - k + 1) for q in range(r - k)] for k in range(1, r)]
 
 
-def _rows_strict(rows):
-    return all(all(map(operator.gt, row, row[1:])) for row in rows)
-
-
 def _check_rows(rows):
     """Row lengths, then interleaving, one row at a time."""
     r = len(rows)
@@ -806,14 +802,13 @@ def rows_to_m_by_dict(rows):
 
 
 def rows_to_ice_by_scan(rows, N=None):
-    """crystal.gt_to_ice as (vertical, horizontal)."""
-    if not _rows_strict(rows):
-        raise ValueError("pattern rows must strictly decrease")
+    """crystal.gt_to_ice as (vertical, horizontal); the rows must decrease
+    strictly, as the rows of every GTPattern do."""
     if N is None:
         N = rows[0][0] + 1
     if N < rows[0][0] + 1:
         raise ValueError("need N > the top row maximum")
-    if rows[-1][0] < 0:
+    if rows[0][-1] < 0:
         raise ValueError("column labels must be nonnegative")
     vertical = (band_by_scan((), N),) + tuple([band_by_scan(row, N) for row in reversed(rows)])
     horizontal = tuple(map(horizontal_row_by_scan, vertical[1:], vertical))

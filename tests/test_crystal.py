@@ -304,9 +304,6 @@ def test_pattern_validation():
             C.GTPattern(((2, 0), (value,)))
     with pytest.raises(ValueError):
         C.gt_bijections(ref_node(), lam=(2.5, 1, 0))  # top row (4.5, 2, 0)
-    weak = C.GTPattern(((2, 2), (2,)), strict=False)
-    assert not weak.is_strict()
-    assert ref_pattern().is_strict()
     assert ref_pattern().entry(1, 2) == 2
     assert ref_pattern().to_json() == [[4, 3, 0], [4, 2], [2]]
 
@@ -349,8 +346,6 @@ def test_gt_to_ice_defaults_to_the_smallest_grid():
 def test_bijection_input_errors():
     with pytest.raises(ValueError):
         C.gt_bijections(ref_node())  # needs lam
-    with pytest.raises(ValueError):
-        C.gt_to_ice(C.GTPattern(((2, 2), (2,)), strict=False))
     bottom_minus = L.IceState(((-1,), (1,)), ((1, -1),))
     with pytest.raises(ValueError):
         C.ice_to_gt(bottom_minus)
@@ -386,8 +381,6 @@ def test_bijections_reject_what_their_input_does_not_imply():
         for lam in ((2.0, 2, 0), (2, 2.0, 0.0), (2.5, 1, 0)):
             with pytest.raises(ValueError, match="must be ints"):
                 C.gt_bijections(form, lam=lam)
-    with pytest.raises(ValueError, match="strictly decrease"):
-        C.gt_to_ice(C.GTPattern(((2, 2), (2,)), strict=False))
     top = (1, -1, -1)   # labels (1, 0)
     horizontal = ((1, 1, 1, -1), (1, 1, 1, -1))
     # labels (2,) under (1, 0), and (0,) under (2, 1)
@@ -490,9 +483,10 @@ def test_bijection_errors_match_the_dict_oracle():
         assert (_raised(C.ice_to_gt, L.IceState(vertical, hrows))
                 == _raised(oracles.ice_to_rows_by_scan, vertical, hrows))
     patterns = [
-        (((2, 2), (2,)), None),      # not strict
         (REF_ROWS, 4),               # a grid too narrow for the pattern
         (((-1,),), None),            # a negative label
+        (((1, -1), (0,)), None),     # a negative label at the end of the top row
+        (((2, 0, -1), (1, 0), (0,)), None),
         (((2, 1), (0,)), None),      # strict but not interleaved: no propagation
     ]
     for rows, N in patterns:
@@ -562,8 +556,6 @@ def test_warm_pair_memo_still_refuses_equal_non_int_rows():
                  ((4.0, 3, 0), (3, 0), (0,)), ((3, 2, False), (2, False), (False,))):
         with pytest.raises(ValueError, match="must be ints"):
             C.GTPattern(rows)
-        with pytest.raises(ValueError, match="must be ints"):
-            C.GTPattern(rows, strict=False)
 
 
 def test_pair_memo_stays_within_its_bound():
@@ -634,19 +626,20 @@ def test_top_row_memo_stays_within_its_bound():
 
 
 def test_warm_top_row_memo_still_refuses_a_non_strict_top_row():
-    # the top-row memo holds no error: every call with a refused row raises
+    # the top-row memo holds no error: every call with a refused row raises.
+    # A pattern is strict, so the refused top rows give a negative lambda
     C._lam_from_top.cache_clear()
     for rows, lam in ((((2, 1), (1,)), (1, 1)), (((3, 2, 0), (2, 1), (1,)), (1, 1, 0))):
         pattern = C.GTPattern(rows)
         assert C.gt_bijections(pattern, lam=lam)["pattern"] == pattern
-    for rows in (((2, 2), (2,)), ((1, 1), (1,)), ((3, 3, 0), (3, 0), (0,))):
-        weak = C.GTPattern(rows, strict=False)
+    for rows in (((1, -1), (0,)), ((0, -1), (0,)), ((2, 0, -1), (1, 0), (0,))):
+        refused = C.GTPattern(rows)
         r = len(rows)
         want = _raised(oracles.check_partition_rule,
                        tuple(a - (r - 1 - t) for t, a in enumerate(rows[0])), r)
         assert want[1] == "lambda must be weakly decreasing and nonnegative"
         for _ in range(3):
-            assert _raised(C.gt_bijections, weak) == want
+            assert _raised(C.gt_bijections, refused) == want
     assert C._lam_from_top.cache_info().currsize == 2
 
 
@@ -698,7 +691,8 @@ def test_pattern_weight_reference_values():
 
 
 def test_flat_entry_on_both_sides_kills_the_pattern():
-    weak = C.GTPattern(((2, 2), (2,)), strict=False)
+    # no GTPattern has such an entry, but the row weight rule still kills it
+    weak = C.GTPattern._trusted(((2, 2), (2,)))
     for nq in (1, 2, 3):
         assert _gt_weight(weak, nq).is_zero()
 

@@ -632,3 +632,8 @@ def test_train_equation_validates_inputs():
         R.train_functional_equation((2, 0), (1, 1), 1, sysm)
     with pytest.raises(ValueError):
         R.train_functional_equation((1, 0), (1, 1), 2, sysm)
+    # entries are reduced into (0, nq] first, so only a wrong length is refused
+    for c in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="r residues"):
+            R.train_functional_equation((1, 0), c, 1, sysm)
+    assert R.train_functional_equation((1, 0), (3, 4), 1, sysm)["charges"] == (1, 2)

@@ -19,15 +19,34 @@ from oracles import TupleKeyScalar, eval_gauss_raw, gauss_normalize_by_rules, z_
 
 # -- the key format stays in one module -------------------------------------
 
+def _is_scalar(name):
+    return name.split(".")[-1] == "scalar"
+
+
 def test_only_the_scalar_module_reads_raw_keys():
     # a monomial key's layout is scalar.py's to change: every other module
-    # goes through sparse_terms and from_sparse
+    # goes through sparse_terms and from_sparse, and reads none of the
+    # scalar module's private names (_scalar, _pack_z, _gauss_pack, ...)
     readers = set()
     for path in Path(S.__file__).parent.glob("*.py"):
-        if path.name != "scalar.py":
-            tree = ast.parse(path.read_text(), str(path))
-            readers.update((path.name, node.lineno) for node in ast.walk(tree)
-                           if isinstance(node, ast.Attribute) and node.attr == "terms")
+        if path.name == "scalar.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        nodes = list(ast.walk(tree))
+        imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+        aliases = {a.asname or a.name for node in imports for a in node.names
+                   if _is_scalar(a.name)}
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                private = node.attr.startswith("_") and (
+                    isinstance(owner, ast.Name) and owner.id in aliases
+                    or isinstance(owner, ast.Attribute) and _is_scalar(owner.attr))
+                if node.attr == "terms" or private:
+                    readers.add((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and _is_scalar(node.module or ""):
+                readers.update((path.name, node.lineno, a.name) for a in node.names
+                               if a.name.startswith("_"))
     assert not readers, sorted(readers)
 
 
@@ -287,9 +306,12 @@ def test_z_exponents_outside_the_field_are_refused():
         with pytest.raises(ValueError):
             Scalar.from_json({"nq": None, "terms": [
                 {"coef": 1, "vexp": [0, 1], "zexp": [[2, bad]], "gauss": []}]})
-    # a field that a raw key filled with -2^15 has no inverse in range
-    with pytest.raises(ValueError):
-        Scalar({(0, -S.Z_LIMIT, 0): 1}).inverse()
+    # no raw key can fill a field with -2^15: keys enter only through the
+    # validating constructors and products
+    with pytest.raises(TypeError):
+        Scalar({(0, -S.Z_LIMIT, 0): 1})
+    with pytest.raises(TypeError):
+        Scalar({(0, -S.Z_LIMIT, 0): 1}, None)
     x = S.z_pow(1, top) * S.z_pow(2, 5)
     for overflow in (lambda: x * S.z_pow(1, 1), lambda: S.z_pow(1, -top) * S.z_pow(1, -1),
                      lambda: (S.one() - x) * S.z_pow(1, 1), lambda: (x + 1) * (x + 1),
@@ -309,6 +331,60 @@ def test_z_exponents_outside_the_field_are_refused():
     assert flat == S.one() and flat.z_bound() == 20000
     assert flat * S.z_pow(1, 20000) == S.z_pow(1, 20000)
     assert S.z_pow(1, 20000) * S.z_pow(1, -20000) == S.one()
+
+
+def _exact_bound(x):
+    """max |exponent| over the z and packed Gauss exponents of x, read off
+    its sparse terms; the self-paired symbol is not a packed field."""
+    return max((abs(e) for (_, zex, gex), _ in x.sparse_terms()
+                for a, e in zex + tuple(p for p in gex if 2 * p[0] != x.nq)), default=0)
+
+
+def test_inverse_keeps_every_exponent_in_its_field():
+    # inverse checks no range: a monomial built by the validating
+    # constructors or by products has every packed exponent in
+    # (-2^15, 2^15), and so has its inverse; a product that would push one
+    # of those exponents out still raises, naming its symbol
+    rng = random.Random(20261020)
+    top = S.Z_LIMIT - 1
+    for trial in range(400):
+        nq = trial % 8 + 1
+        zex = [(i, rng.randrange(-top, S.Z_LIMIT))
+               for i in rng.sample(range(1, 9), rng.randrange(0, 4))]
+        fields = [a for a in range(1, nq) if 2 * a <= nq]
+        # a field is named by its index, its mirror or an index past nq
+        gex = [(rng.choice((a, nq - a, a + nq)), rng.randrange(-top, S.Z_LIMIT))
+               for a in rng.sample(fields, rng.randrange(0, len(fields) + 1))]
+        if rng.random() < 0.5:
+            gex.append((0, 2 * rng.randrange(-3, 4)))
+        vq, coef = rng.randrange(-40, 41), rng.choice((1, -1))
+        built = Scalar.from_sparse([((vq, zex, tuple(gex)), coef)], nq)
+        x = S.integer(coef, nq) * S.v_pow(Fraction(vq, 4), nq)
+        for i, e in zex:
+            x = x * S.z_pow(i, e, nq)
+        for a, e2 in gex:
+            x = x * S.gauss_pow(a, Fraction(e2, 2), nq)
+        assert x == built, (nq, zex, gex)
+        for m in (x, built):
+            inv = m.inverse()
+            assert inv.z_bound() == m.z_bound() >= _exact_bound(inv) == _exact_bound(m)
+            assert m * inv == S.one(nq)
+        (_, izex, igex), _ = next(inv.sparse_terms())
+        symbols = [("z", i, e) for i, e in izex]
+        symbols += [("g", a, e2) for a, e2 in igex if 2 * a != nq]
+        if not symbols:
+            continue
+        kind, i, e = rng.choice(symbols)
+        # the factor fills the exponent up to the last value its field holds
+        if kind == "z":
+            grow = lambda d: S.z_pow(i, d if e > 0 else -d, nq)
+            name = r"^z%d exponent" % i
+        else:
+            grow = lambda d: S.gauss_pow(i, Fraction(d, 2), nq)
+            name = r"^doubled g\(%d\) exponent" % min(i, nq - i)
+        assert _exact_bound(inv * grow(top - abs(e))) == top
+        with pytest.raises(ValueError, match=name):
+            inv * grow(S.Z_LIMIT - abs(e))
 
 
 def test_gauss_exponents_outside_the_field_are_refused():
