@@ -354,19 +354,19 @@ def _z_vector(zex, r):
 
 
 def _class_pieces(I, lam, basis):
-    """I split by coset class in one pass over its terms: {canonical class:
-    nonzero piece}, a term with z exponent vec going to the class
-    MP.reduce(basis, vec + w0(lam)) of the coset lattice basis.  lam must
-    be checked already; exponents must sum to zero (trace-free support)."""
-    r = len(basis)
-    split = {}
-    for term in I.sparse_terms():
-        vec = _z_vector(term[0][1], r)
+    """I split by coset class in one pass over its packed terms: {canonical
+    class: nonzero piece}, a term with z exponent vec going to the class
+    MP.reduce(basis, vec + w0(lam)) of the coset lattice basis, one reduce
+    per distinct z part.  lam must be checked already; exponents must sum
+    to zero (trace-free support)."""
+
+    def label(zex):
+        vec = _z_vector(zex, len(basis))
         if sum(vec) != 0:
             raise ValueError("monomial exponent %r has nonzero sum" % (vec,))
-        gamma = MP.reduce(basis, map(add, vec, reversed(lam)))
-        split.setdefault(gamma, []).append(term)
-    return {gamma: S.Scalar.from_sparse(terms, I.nq) for gamma, terms in split.items()}
+        return MP.reduce(basis, map(add, vec, reversed(lam)))
+
+    return I.split(label)
 
 
 # bound of the class-piece memo below: a grid benchmark pass meets 3
@@ -542,7 +542,7 @@ def verify_thm82(lam, r, N, params):
     checks = []
     # classes in the order of cosets.gamma, which product lists sorted
     for gamma, piece in sorted(pieces.items()):
-        support = sorted(_z_vector(key[1], r) for key, _ in piece.sparse_terms())
+        support = sorted(piece.split(lambda zex: tuple(_z_vector(zex, r))))
         base = support[0]
         for vec in support:
             if any((vec[t] - base[t]) % nq for t in range(r)):

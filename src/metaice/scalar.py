@@ -19,11 +19,13 @@ as g(modulus/2)^2 = v.  Every packed field, z or Gauss, keeps |e| <
 Z_LIMIT = 2^15: constructors refuse an exponent outside it, and a product
 (so also a power) raises ValueError naming the variable or symbol when
 the exponent of a term pair would leave it, so no field ever carries into
-the next.  Each Scalar carries a bound on its packed exponents, so a
-product checks its operands' bounds and sums packed parts pair by pair
-only near the limit.  Only this module reads keys: Scalar.sparse_terms()
+the next.  Each Scalar carries zb, an int bound on its packed exponents
+that Scalar.from_sparse, the one encoder, sets as it checks each field,
+so a product checks its operands' bounds and sums packed parts pair by
+pair only near the limit.  Only this module reads keys: sparse_terms()
 decodes them (z into sorted (index, exponent) pairs, the Gauss part into
-gauss_normalize's canonical form), and Scalar.from_sparse() packs them.
+gauss_normalize's canonical form), from_sparse() packs them and split()
+groups them by z part.
 """
 
 from fractions import Fraction
@@ -50,10 +52,10 @@ _Z_MASK = (1 << 16) - 1
 
 
 def _pack_z(pairs, symbol="z%d"):
-    """Packed form of (index, exponent) pairs; indices are ints >= 1,
-    and an index given twice has its exponents summed.  ValueError,
-    naming the variable by symbol % index, when an exponent falls
-    outside its field."""
+    """(packed form, largest |exponent|) of (index, exponent) pairs;
+    indices are ints >= 1, and an index given twice has its exponents
+    summed.  ValueError, naming the variable by symbol % index, when an
+    exponent falls outside its field."""
     acc = {}
     for i, e in pairs:
         if type(i) is not int or i < 1:
@@ -61,10 +63,10 @@ def _pack_z(pairs, symbol="z%d"):
         acc[i] = acc.get(i, 0) + e
     z = 0
     for i, e in acc.items():
-        if type(e) is not int or not -Z_LIMIT < e < Z_LIMIT:
+        if type(e) is not int or abs(e) >= Z_LIMIT:
             raise ValueError("%s exponent %r outside (-2^15, 2^15)" % (symbol % i, e))
         z += e << (16 * (i - 1))
-    return z
+    return z, max(map(abs, acc.values()), default=0)
 
 
 def _z_pairs(z):
@@ -85,10 +87,10 @@ _GAUSS = "doubled g(%d)"
 
 
 def _gauss_pack(pairs, nq):
-    """(sign, vq, g) of a product of Gauss symbols given as (index,
-    doubled exponent) pairs, packed as the module docstring says: the one
-    encoder of the Gauss part.  An index that is not an int, or a half
-    power of g(0), raises ValueError."""
+    """(sign, vq, g, bound) of a product of Gauss symbols given as (index,
+    doubled exponent) pairs, packed as the module docstring says, bound as
+    _pack_z's: the one encoder of the Gauss part.  An index that is not an
+    int, or a half power of g(0), raises ValueError."""
     if nq is None:
         raise ValueError("gauss symbols need a modulus")
     acc = {}
@@ -104,7 +106,8 @@ def _gauss_pack(pairs, nq):
     high = [(nq - a, -e2) for a, e2 in acc.items() if 2 * a > nq]
     packed = [(a, e2) for a, e2 in acc.items() if 2 * a < nq] + high
     vq = 2 * (e0 - sum(e2 for _, e2 in high)) + h - h % 4
-    return (-1 if e0 % 4 else 1), vq, (_pack_z(packed, _GAUSS) << 3) + h % 4
+    g, bound = _pack_z(packed, _GAUSS)
+    return (-1 if e0 % 4 else 1), vq, (g << 3) + h % 4, bound
 
 
 def _gauss_parts(vq, g, nq):
@@ -136,11 +139,11 @@ def gauss_normalize(exps, nq):
     store outside (-2^15, 2^15) raises ValueError.  The package's own
     builders hand raw pairs to from_sparse instead, which encodes once.
     """
-    sign, vq, g = _gauss_pack(exps.items(), nq)
+    sign, vq, g, _ = _gauss_pack(exps.items(), nq)
     return (sign,) + _gauss_parts(vq, g, nq)
 
 
-def _scalar(terms, nq, zb=None):
+def _scalar(terms, nq, zb):
     """A Scalar owning `terms` (packed keys, nonzero coefficients), no copy."""
     s = Scalar.__new__(Scalar)
     s.terms = terms
@@ -149,25 +152,18 @@ def _scalar(terms, nq, zb=None):
     return s
 
 
-def _unpacked(terms):
-    """The distinct (z pairs, Gauss pairs) of the keys of terms."""
-    return {(_z_pairs(z), _z_pairs(g >> 3)) for _, z, g in terms}
-
-
 def _product_bound(x, y):
-    """Bound on the packed exponents of x * y from the operands' bounds,
-    or None after an exact check: near the field's limit every pair of
-    packed parts is summed, and ValueError is raised when an exponent of
-    a term pair would leave its field."""
-    zb = x.z_bound() + y.z_bound()
+    """Bound on the packed exponents of x * y: the sum of the operands'
+    bounds, or near the field's limit the exact one, from every pair of
+    packed parts summed; ValueError when an exponent of a term pair
+    would leave its field."""
+    zb = x.zb + y.zb
     if zb < Z_LIMIT:
         return zb
-    second = _unpacked(y.terms)
-    for zex, gex in _unpacked(x.terms):
-        for zex2, gex2 in second:
-            _pack_z(zex + zex2)
-            _pack_z(gex + gex2, _GAUSS)
-    return None
+    # the distinct (z pairs, Gauss pairs) of each operand's keys
+    first, second = ({(_z_pairs(z), _z_pairs(g >> 3)) for _, z, g in s.terms} for s in (x, y))
+    return max((max(_pack_z(zex + zex2)[1], _pack_z(gex + gex2, _GAUSS)[1])
+                for zex, gex in first for zex2, gex2 in second), default=0)
 
 
 class Scalar:
@@ -176,13 +172,17 @@ class Scalar:
     terms maps packed monomial keys (module docstring) to nonzero integer
     coefficients and is not changed once the Scalar is built.  nq is the
     Gauss modulus, or None for elements that use no Gauss symbols.  zb is
-    a bound on |exponent| over all packed exponents, z and Gauss, or None
-    until first asked for (z_bound).  There is no raw-key constructor:
-    keys enter through from_sparse, from_json and the module's
-    constructors, which check every exponent, and through products.
+    an int bound on |exponent| over all packed exponents, z and Gauss,
+    set by every builder.  Scalar(...) is a TypeError: keys enter through
+    from_sparse, the one encoder, which checks every exponent and sets zb
+    (from_json and every constructor but integer, one and zero call it),
+    and through ring operations on Scalars already built.
     """
 
     __slots__ = ["terms", "nq", "zb"]
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("Scalar has no public constructor; use from_sparse")
 
     # -- construction helpers ------------------------------------------
 
@@ -192,33 +192,27 @@ class Scalar:
         exponent) pairs and gex a tuple of (index, doubled exponent)
         pairs of Gauss symbols, which need a modulus nq: the inverse of
         sparse_terms.  Equal monomials are summed."""
-        terms = {}
-        packed = {(): (1, 0, 0)}  # terms often share a Gauss part
+        terms, zb = {}, 0
+        packed = {(): (1, 0, 0, 0)}  # terms often share a Gauss part
         for (vq, zex, gex), c in items:
             if gex not in packed:
                 packed[gex] = _gauss_pack(gex, nq)
-            sign, dvq, g = packed[gex]
-            key = (vq + dvq, _pack_z(zex), g)
+            sign, dvq, g, gb = packed[gex]
+            z, b = _pack_z(zex)
+            zb = max(zb, b, gb)
+            key = (vq + dvq, z, g)
             c = terms.get(key, 0) + sign * c
             if c:
                 terms[key] = c
             elif key in terms:
                 del terms[key]
-        return _scalar(terms, nq)
+        return _scalar(terms, nq, zb)
 
     def is_zero(self):
         return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
-
-    def z_bound(self):
-        """A bound on |exponent| over the packed exponents, z and Gauss, of
-        every term; exact when it is first computed here."""
-        if self.zb is None:
-            self.zb = max((abs(e) for pairs in _unpacked(self.terms) for part in pairs
-                           for _, e in part), default=0)
-        return self.zb
 
     # -- ring structure ------------------------------------------------
 
@@ -242,8 +236,7 @@ class Scalar:
                 terms[k] = c2
             elif k in terms:
                 del terms[k]
-        zb = None if self.zb is None or other.zb is None else max(self.zb, other.zb)
-        return _scalar(terms, nq, zb)
+        return _scalar(terms, nq, max(self.zb, other.zb))
 
     __radd__ = __add__
 
@@ -333,13 +326,25 @@ class Scalar:
             dvq, gex = gs[g]
             yield (vq + dvq, zs[z], gex), c
 
+    def split(self, label):
+        """{label(z pairs): piece}, label called once per distinct z part
+        with its sorted (index, exponent) pairs; the pieces share no term,
+        sum to self and keep its keys and bound."""
+        labels, pieces = {}, {}
+        for key, c in self.terms.items():
+            z = key[1]
+            if z not in labels:
+                labels[z] = label(_z_pairs(z))
+            pieces.setdefault(labels[z], {})[key] = c
+        return {k: _scalar(terms, self.nq, self.zb) for k, terms in pieces.items()}
+
     def permute_z(self, perm):
         """Relabel z variables; perm maps old index -> new index and must
         permute its own keys, so no two terms merge and every bound on
         the exponents still holds.  Each distinct z part is repacked once."""
         if set(perm) != set(perm.values()):
             raise ValueError("z relabelling %r is not a permutation" % (perm,))
-        moved = {z: _pack_z((perm.get(i, i), e) for i, e in _z_pairs(z))
+        moved = {z: _pack_z((perm.get(i, i), e) for i, e in _z_pairs(z))[0]
                  for z in {key[1] for key in self.terms}}
         return _scalar({(vq, moved[z], g): c for (vq, z, g), c in self.terms.items()},
                        self.nq, self.zb)
@@ -435,27 +440,20 @@ def zero(nq=None):
 
 
 def v_pow(e, nq=None):
-    return _scalar({(_scaled(e, 4, "v"), 0, 0): 1}, nq, 0)
+    return Scalar.from_sparse((((_scaled(e, 4, "v"), (), ()), 1),), nq)
 
 
 def z_pow(i, e, nq=None):
-    if e == 0:
-        return one(nq)
-    return _scalar({(0, _pack_z(((i, e),)), 0): 1}, nq, abs(e))
+    return Scalar.from_sparse((((0, ((i, e),), ()), 1),), nq)
 
 
 def z_mono(vec, nq=None):
     """z^vec for an integer vector; vec[k] is the exponent of z_{k+1}."""
-    return _scalar({(0, _pack_z((i + 1, e) for i, e in enumerate(vec)), 0): 1}, nq,
-                   max(map(abs, vec), default=0))
+    return Scalar.from_sparse((((0, enumerate(vec, 1), ()), 1),), nq)
 
 
 def gauss_pow(a, e, nq):
-    e2 = _scaled(e, 2, "gauss")
-    if not e2:
-        return one(nq)
-    sign, vq, g = _gauss_pack(((a, e2),), nq)
-    return _scalar({(vq, 0, g): sign}, nq)
+    return Scalar.from_sparse((((0, (), ((a, _scaled(e, 2, "gauss")),)), 1),), nq)
 
 
 def gauss(a, nq):

@@ -924,6 +924,34 @@ def test_charge_class_identity_at_rank_six():
     assert len(report["checks"]) == 60 and report["skipped"] == 669
 
 
+def test_class_split_moves_packed_terms(monkeypatch):
+    # the class split groups I_lambda's packed terms: it decodes no term
+    # to its sparse form and encodes none again
+    calls, splits = [], []
+    split = C._class_pieces
+
+    def counting(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    def spy(I, lam, basis):
+        splits.append(lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(S.Scalar, "from_sparse",
+                          staticmethod(counting("from_sparse", S.Scalar.from_sparse)))
+            patch.setattr(S.Scalar, "sparse_terms",
+                          counting("sparse_terms", S.Scalar.sparse_terms))
+            return split(I, lam, basis)
+
+    monkeypatch.setattr(C, "_class_pieces", spy)
+    C._cover_pieces.cache_clear()
+    try:
+        report = C.verify_thm82((1, 0, 0, 0, 0, 0), 6, 7, MP.CoverParams(3, 1, 1, 6))
+    finally:
+        C._cover_pieces.cache_clear()
+    assert report["ok"] and len(report["checks"]) == 60
+    assert splits == [(1, 0, 0, 0, 0, 0)] and calls == []
+
+
 def test_charge_class_identity_rank_mismatch():
     with pytest.raises(ValueError):
         C.verify_thm82((1, 0), 2, 3, MP.CoverParams(2, 1, 1, 3))

@@ -50,6 +50,28 @@ def test_only_the_scalar_module_reads_raw_keys():
     assert not readers, sorted(readers)
 
 
+def test_no_module_decodes_terms_to_encode_them_again():
+    # a function outside scalar.py that calls both sparse_terms and
+    # from_sparse decodes terms only to pack them again; Scalar.split
+    # moves packed terms instead
+    round_trips = []
+    for path in sorted(Path(S.__file__).parent.glob("*.py")):
+        if path.name == "scalar.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            lines = {}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    lines.setdefault(name, node.lineno)
+            if "sparse_terms" in lines and "from_sparse" in lines:
+                round_trips.append((path.name, fn.name, lines["sparse_terms"],
+                                    lines["from_sparse"]))
+    assert not round_trips, round_trips
+
+
 # -- frozen normalization cases ------------------------------------------
 
 def test_pair_relation_absorbs_to_v():
@@ -312,6 +334,11 @@ def test_z_exponents_outside_the_field_are_refused():
         Scalar({(0, -S.Z_LIMIT, 0): 1})
     with pytest.raises(TypeError):
         Scalar({(0, -S.Z_LIMIT, 0): 1}, None)
+    with pytest.raises(TypeError):
+        Scalar()
+    # an exponent of 0 is no excuse for a bad index
+    with pytest.raises(ValueError, match="z index"):
+        S.z_pow(0, 0)
     x = S.z_pow(1, top) * S.z_pow(2, 5)
     for overflow in (lambda: x * S.z_pow(1, 1), lambda: S.z_pow(1, -top) * S.z_pow(1, -1),
                      lambda: (S.one() - x) * S.z_pow(1, 1), lambda: (x + 1) * (x + 1),
@@ -328,7 +355,7 @@ def test_z_exponents_outside_the_field_are_refused():
     # near the limit the z parts are summed pair by pair, so a bound
     # carried through cancelling products refuses nothing
     flat = S.z_pow(1, 10000) * S.z_pow(1, -10000)
-    assert flat == S.one() and flat.z_bound() == 20000
+    assert flat == S.one() and flat.zb == 20000
     assert flat * S.z_pow(1, 20000) == S.z_pow(1, 20000)
     assert S.z_pow(1, 20000) * S.z_pow(1, -20000) == S.one()
 
@@ -367,7 +394,7 @@ def test_inverse_keeps_every_exponent_in_its_field():
         assert x == built, (nq, zex, gex)
         for m in (x, built):
             inv = m.inverse()
-            assert inv.z_bound() == m.z_bound() >= _exact_bound(inv) == _exact_bound(m)
+            assert inv.zb == m.zb >= _exact_bound(inv) == _exact_bound(m)
             assert m * inv == S.one(nq)
         (_, izex, igex), _ = next(inv.sparse_terms())
         symbols = [("z", i, e) for i, e in izex]
@@ -385,6 +412,45 @@ def test_inverse_keeps_every_exponent_in_its_field():
         assert _exact_bound(inv * grow(top - abs(e))) == top
         with pytest.raises(ValueError, match=name):
             inv * grow(S.Z_LIMIT - abs(e))
+
+
+def test_every_builder_sets_a_sound_bound():
+    # zb is set when a Scalar is built, and the product check trusts it:
+    # every builder must give an int no smaller than the exact bound
+    rng = random.Random(20261024)
+    half = S.Z_LIMIT // 2
+    near = 0
+    for trial in range(320):
+        nq = trial % 8 + 1
+        a, b = (Scalar.from_sparse(_random_sparse(rng, nq), nq) for _ in range(2))
+        (key, _), = _random_sparse(rng, nq, nterms=1)
+        m = Scalar.from_sparse([(key, rng.choice((1, -1)))], nq)
+        # two variables, so the product of big fields never overflows
+        big = [S.z_pow(i, rng.randrange(1 - S.Z_LIMIT, S.Z_LIMIT), nq)
+               for i in rng.sample(range(1, 9), 2)]
+        gi = rng.randrange(1, nq) if nq > 1 else 0
+        perm = dict(zip(range(1, 9), rng.sample(range(1, 9), 8)))
+        prod = big[0] * big[1]
+        built = [S.integer(rng.randrange(-3, 4), nq), S.one(nq), S.zero(nq),
+                 S.v_pow(Fraction(rng.randrange(-9, 10), 4), nq),
+                 S.z_pow(rng.randrange(1, 9), rng.randrange(1 - S.Z_LIMIT, S.Z_LIMIT), nq),
+                 S.z_mono([rng.randrange(-99, 100) for _ in range(rng.randrange(9))], nq),
+                 S.gauss_pow(gi, Fraction(2 * rng.randrange(-half, half), 2), nq),
+                 S.gauss(gi, nq), S.gauss_eval(gi, rng.randrange(-2, 2), nq),
+                 a, b, m, Scalar.from_json(a.to_json()), a + b, a - b, -a, a * b, a ** 3,
+                 m ** -2, m.inverse(), a.permute_z(perm), prod]
+        built += (a * b).split(lambda zex: len(zex) % 3).values()
+        for x in built:
+            assert type(x.zb) is int and x.zb >= _exact_bound(x), (x, x.zb)
+        if big[0].zb + big[1].zb >= S.Z_LIMIT:
+            # the near-limit branch sums the packed parts: exact
+            near += 1
+            assert prod.zb == _exact_bound(prod)
+    assert near
+    # operands whose bounds sum past the limit give the exact bound
+    x = S.z_pow(1, 20000) * S.z_pow(2, 20000)
+    assert x.zb == 20000 == _exact_bound(x)
+    assert (x + S.z_pow(3, -9)).zb == 20000
 
 
 def test_gauss_exponents_outside_the_field_are_refused():
@@ -419,9 +485,13 @@ def test_gauss_exponents_outside_the_field_are_refused():
             S.gauss_pow(bad, 1, 5)
         with pytest.raises(ValueError, match="gauss index must be an int"):
             Scalar.from_sparse([((0, (), ((bad, 2),)), 1)], 5)
-    # Gauss symbols need a modulus
+    with pytest.raises(ValueError, match="gauss index must be an int"):
+        S.gauss_pow(1.5, 0, 3)
+    # Gauss symbols need a modulus, whatever the exponent
     with pytest.raises(ValueError, match="need a modulus"):
         Scalar.from_sparse([((0, (), ((1, 2),)), 1)])
+    with pytest.raises(ValueError, match="need a modulus"):
+        S.gauss_pow(1, 0, None)
     with pytest.raises(ValueError, match="need a modulus"):
         Scalar.from_json({"nq": None, "terms": [
             {"coef": 1, "vexp": [0, 1], "zexp": [], "gauss": [[1, 1, 1]]}]})
@@ -589,6 +659,31 @@ def test_z_split_groups_by_monomial():
     groups = dict(z_split(x, S))
     assert set(groups) == {((1, 2),), ((2, 1),)}
     assert groups[((1, 2),)] == S.one() + S.v_pow(1)
+
+
+def test_split_matches_the_filter_oracle():
+    # split groups the packed terms by the label of their z part: each
+    # piece is the filter of the decoded terms, packed again
+    rng = random.Random(20261025)
+    for trial in range(200):
+        nq = trial % 8 + 1
+        x = Scalar.from_sparse(_random_sparse(rng, nq, nterms=8), nq)
+        k = rng.randrange(1, 4)
+        pure = lambda zex: sum(e for _, e in zex) % k
+        asked = []
+        pieces = x.split(lambda zex: asked.append(zex) or pure(zex))
+        terms = list(x.sparse_terms())
+        assert sorted(asked) == sorted({zex for (_, zex, _), _ in terms})
+        seen, total = set(), S.zero(nq)
+        for label, piece in pieces.items():
+            want = Scalar.from_sparse([t for t in terms if pure(t[0][1]) == label], nq)
+            assert piece and list(piece.terms.items()) == list(want.terms.items())
+            assert piece.zb == x.zb and piece.nq == x.nq
+            assert seen.isdisjoint(piece.terms)
+            seen.update(piece.terms)
+            total = total + piece
+        assert total == x
+    assert S.zero(3).split(len) == {}
 
 
 def test_modulus_mismatch_rejected():
