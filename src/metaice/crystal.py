@@ -341,7 +341,7 @@ def _i_lambda(lam, r, nq):
             yield row, (), _row_factor(above, row, nq) * S.z_mono(zex, nq)
 
     layer = L._transfer(L._top_row(lam, r), _layout(r).layers, step, nq)
-    return sum((classes[()] for classes in layer.values()), S.zero(nq))
+    return S.Scalar.sum((classes[()] for classes in layer.values()), nq)
 
 
 def _z_vector(zex, r):
@@ -392,6 +392,8 @@ def coset_piece(I, gamma, lam, cosets):
     gamma = tuple(gamma)
     if len(gamma) != r:
         raise ValueError("gamma must have %d entries" % r)
+    if not all(type(g) is int for g in gamma):
+        raise ValueError("gamma entries must be ints (bool is refused)")
     return _class_pieces(I, lam, cosets.basis).get(cosets.reduce(gamma), S.zero(I.nq))
 
 

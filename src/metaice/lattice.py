@@ -350,8 +350,9 @@ def _transfer(top, layers, step, nq):
     """The one row transfer, top row first: step(data, north) gives the
     (row below, class tag, weight) of each step down from north, data
     being the layer's entry of `layers`.  A layer maps a row to {tags of
-    the steps to it, latest first: summed weight}; zero weights are
-    skipped, zero sums kept."""
+    the steps to it, latest first: summed weight}, each entry summed once
+    from its (value, weight) pairs; zero weights are skipped, zero sums
+    kept."""
     layer = {top: {(): S.one(nq)}}
     for data in layers:
         nxt = {}
@@ -361,10 +362,9 @@ def _transfer(top, layers, step, nq):
                     continue
                 out = nxt.setdefault(south, {})
                 for key, value in classes.items():
-                    key = tag + key
-                    term = value * w
-                    out[key] = out[key] + term if key in out else term
-        layer = nxt
+                    out.setdefault(tag + key, []).append((value, w))
+        layer = {south: {key: S.Scalar.sum((value * w for value, w in pairs), nq)
+                         for key, pairs in out.items()} for south, out in nxt.items()}
     return layer
 
 
@@ -403,7 +403,7 @@ def partition_function(system, charges=None):
     charges = (system.left_charges if charges is None
                else check_charges(charges, system.r, system.nq))
     if charges is None:
-        return sum(_class_map(system).values(), S.zero(system.nq))
+        return S.Scalar.sum(_class_map(system).values(), system.nq)
     return _class_map(system).get(charges, S.zero(system.nq))
 
 

@@ -32,6 +32,10 @@ class CoverParams:
     __slots__ = ["n", "b", "c", "r"]
 
     def __init__(self, n, b, c, r):
+        for name, x in (("n", n), ("b", b), ("c", c), ("r", r)):
+            if type(x) is not int:
+                raise ValueError("cover parameter %s must be an int (bool is refused): %r"
+                                 % (name, x))
         if n < 1:
             raise ValueError("cover degree must be at least 1")
         if r < 1:
@@ -315,6 +319,8 @@ def theorem12_diagram(params, residues, i=1):
         raise ValueError("simple index out of range")
     n = params.n
     for ck in residues:
+        if type(ck) is not int:
+            raise ValueError("residues must be ints (bool is refused): %r" % (ck,))
         if not 0 < ck <= n:
             raise ValueError("labels must lie in (0, n]")
     nq = params.nq

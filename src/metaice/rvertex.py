@@ -209,8 +209,8 @@ def check_rtt(boundary, nq, rows=(1, 2)):
             if wj is None:
                 continue
             rhs[(phi, psi, dlt)] = S.Frac(num * (wj * wi), den)
-    lhs_sum = S.Frac(sum((w.num for w in lhs.values()), S.zero(nq)), den)
-    rhs_sum = S.Frac(sum((w.num for w in rhs.values()), S.zero(nq)), den)
+    lhs_sum = S.Frac(S.Scalar.sum((w.num for w in lhs.values()), nq), den)
+    rhs_sum = S.Frac(S.Scalar.sum((w.num for w in rhs.values()), nq), den)
     return {
         "boundary": boundary,
         "rows": rows,
@@ -569,8 +569,14 @@ def _zj(t, nq):
     return S.z_pow(2, -nq, nq) if t % nq == 0 else S.one(nq)
 
 
+def _units(nq):
+    """one, v, Z and the charge-0 zi, zj at rows (1, 2): the appendix
+    tables' monomials."""
+    return S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq), _zi(0, nq), _zj(0, nq)
+
+
 def _case01(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, *_ = _units(nq)
     for k in range(nq):
         K, kk = reduce_charge(k + 1, nq), reduce_charge(k, nq)
         zz = _zi(k, nq) * _zj(k, nq)
@@ -596,13 +602,12 @@ def _case01(nq):
 
 
 def _case03(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         yield ((K, None, None, k),
                {(MINUS, (1, K), 1): one - v},
                {(MINUS, (1, k), 1): one - v})
-    zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((1, None, None, nq),
            {(MINUS, (1, 1), 1): (one - v) * zi},
            {((1, nq), MINUS, -1): (one - v) * zi * (one - Z),
@@ -610,13 +615,12 @@ def _case03(nq):
 
 
 def _case04(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         yield ((K, None, k, None),
                {((1, K), MINUS, 1): v * (one - Z)},
                {(MINUS, (1, k), 1): v * (one - Z)})
-    zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((1, None, nq, None),
            {((1, 1), MINUS, 1): v * zj * (one - Z),
             (MINUS, (1, 1), -1): (one - v) * (one - v) * zj},
@@ -625,7 +629,7 @@ def _case04(nq):
 
 
 def _case05(nq):
-    one, Z = S.one(nq), crossing_z((1, 2), nq)
+    one, _, Z, *_ = _units(nq)
     for k in range(nq):
         K, kk = reduce_charge(k + 1, nq), reduce_charge(k, nq)
         num = _zi(k, nq) * (one - Z)
@@ -635,13 +639,12 @@ def _case05(nq):
 
 
 def _case06(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         yield ((None, K, k, None),
                {((1, K), MINUS, 1): (one - v) * Z},
                {((1, k), MINUS, 1): (one - v) * Z})
-    zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((None, 1, nq, None),
            {((1, 1), MINUS, 1): (one - v) * zj * Z,
             (MINUS, (1, 1), -1): (one - v) * zj * (one - Z)},
@@ -656,7 +659,7 @@ def _case08(nq):
 
 
 def _case09(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         g = S.gauss(k, nq)
@@ -666,7 +669,6 @@ def _case09(nq):
         yield ((K, 1, None, k),
                {((1, 1), (1, K), 1): one - v},
                {(MINUS, (1, k), 1): one - v})
-    zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((1, 1, None, nq),
            {((1, 1), (1, 1), 1): zi * (Z - v)},
            {((1, nq), MINUS, -1): -v * zi * (one - Z),
@@ -674,7 +676,7 @@ def _case09(nq):
 
 
 def _case10(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         g = S.gauss(k, nq)
@@ -684,7 +686,6 @@ def _case10(nq):
         yield ((K, 1, k, None),
                {((1, K), (1, 1), -1): S.gauss(-k, nq) * g * (one - Z)},
                {(MINUS, (1, k), 1): v * (one - Z)})
-    zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((1, 1, nq, None),
            {((1, 1), (1, 1), -1): -v * zj * (Z - v)},
            {((1, nq), MINUS, -1): -v * (one - v) * zi * Z,
@@ -692,7 +693,7 @@ def _case10(nq):
 
 
 def _case12(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, *_ = _units(nq)
     yield ((1, None, None, None),
            {((1, 1), MINUS, 1): v * (one - Z),
             (MINUS, (1, 1), -1): one - v},
@@ -700,7 +701,7 @@ def _case12(nq):
 
 
 def _case14(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, *_ = _units(nq)
     yield ((None, 1, None, None),
            {((1, 1), MINUS, 1): (one - v) * Z,
             (MINUS, (1, 1), -1): one - Z},
@@ -708,8 +709,7 @@ def _case14(nq):
 
 
 def _case19(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
-    zi, zj = _zi(0, nq), _zj(0, nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         g = S.gauss(k, nq)
@@ -728,8 +728,7 @@ def _case19(nq):
 
 
 def _case21(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
-    zi, zj = _zi(0, nq), _zj(0, nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         g = S.gauss(k, nq)
@@ -747,8 +746,7 @@ def _case21(nq):
 
 
 def _case23(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
-    zi, zj = _zi(0, nq), _zj(0, nq)
+    one, v, Z, zi, zj = _units(nq)
     yield ((None, None, None, nq),
            {(MINUS, MINUS, 1): (one - v) * zi * (one - v * Z)},
            {(MINUS, (1, nq), 1): (one - v) * (one - v) * zj,
@@ -756,8 +754,7 @@ def _case23(nq):
 
 
 def _case24(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
-    zi, zj = _zi(0, nq), _zj(0, nq)
+    one, v, Z, zi, zj = _units(nq)
     yield ((None, None, nq, None),
            {(MINUS, MINUS, -1): (one - v) * zj * (one - v * Z)},
            {(MINUS, (1, nq), 1): v * (one - v) * zj * (one - Z),
@@ -765,7 +762,7 @@ def _case24(nq):
 
 
 def _case25(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, *_ = _units(nq)
     for k in range(nq):
         K, kk = reduce_charge(k + 1, nq), reduce_charge(k, nq)
         zz = _zi(k, nq) * _zj(k, nq)
@@ -795,14 +792,13 @@ def _case25(nq):
 
 
 def _case27(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         num = S.gauss(k, nq) * (one - v)
         yield ((K, None, None, k),
                {(MINUS, (1, K), -1): num},
                {(MINUS, (1, k), -1): num})
-    zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((1, None, None, nq),
            {(MINUS, (1, 1), -1): -v * (one - v) * zi,
             ((1, 1), MINUS, 1): v * (one - v) * zi * (one - Z)},
@@ -810,7 +806,7 @@ def _case27(nq):
 
 
 def _case28(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, *_ = _units(nq)
     for k in range(nq):
         K, kk = reduce_charge(k + 1, nq), reduce_charge(k, nq)
         num = v * S.gauss(k, nq) * _zj(k, nq) * (one - Z)
@@ -820,14 +816,13 @@ def _case28(nq):
 
 
 def _case29(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         num = S.gauss(k, nq) * (one - Z)
         yield ((None, K, None, k),
                {(MINUS, (1, K), -1): num},
                {((1, k), MINUS, -1): num})
-    zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((None, 1, None, nq),
            {(MINUS, (1, 1), -1): -v * zi * (one - Z),
             ((1, 1), MINUS, 1): (one - v) * (one - v) * zi * Z},
@@ -836,14 +831,13 @@ def _case29(nq):
 
 
 def _case30(nq):
-    one, v, Z = S.one(nq), S.v_pow(1, nq), crossing_z((1, 2), nq)
+    one, v, Z, zi, zj = _units(nq)
     for k in range(1, nq):
         K = reduce_charge(k + 1, nq)
         num = S.gauss(k, nq) * (one - v) * Z
         yield ((None, K, k, None),
                {((1, K), MINUS, -1): num},
                {((1, k), MINUS, -1): num})
-    zi, zj = _zi(0, nq), _zj(0, nq)
     yield ((None, 1, nq, None),
            {((1, 1), MINUS, -1): -v * (one - v) * zj * Z},
            {((1, nq), MINUS, -1): -v * (one - v) * zi * Z,

@@ -152,6 +152,13 @@ def _scalar(terms, nq, zb):
     return s
 
 
+def _join_nq(a, b):
+    """The modulus of an operation on moduli a and b, None joining any."""
+    if a is not None and b is not None and a != b:
+        raise ValueError("gauss modulus mismatch: %r vs %r" % (a, b))
+    return b if a is None else a
+
+
 def _product_bound(x, y):
     """Bound on the packed exponents of x * y: the sum of the operands'
     bounds, or near the field's limit the exact one, from every pair of
@@ -216,27 +223,34 @@ class Scalar:
 
     # -- ring structure ------------------------------------------------
 
-    def _join_nq(self, other):
-        if self.nq is None:
-            return other.nq
-        if other.nq is None or other.nq == self.nq:
-            return self.nq
-        raise ValueError("gauss modulus mismatch: %r vs %r" % (self.nq, other.nq))
+    @staticmethod
+    def sum(xs, nq=None):
+        """The sum of the Scalars xs, zero(nq) when there are none: the ring's
+        one merge loop, which copies the first operand's terms only when a
+        second one arrives.  Moduli join with nq; the bound is the largest."""
+        xs = iter(xs)
+        first = next(xs, None)
+        if first is None:
+            return zero(nq)
+        nq, zb, terms = _join_nq(nq, first.nq), first.zb, first.terms
+        for x in xs:
+            if terms is first.terms:
+                terms = dict(terms)
+            nq, zb = _join_nq(nq, x.nq), max(zb, x.zb)
+            for k, c in x.terms.items():
+                c += terms.get(k, 0)
+                if c:
+                    terms[k] = c
+                else:
+                    del terms[k]
+        return _scalar(terms, nq, zb)
 
     def __add__(self, other):
         if isinstance(other, int):
             other = integer(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        nq = self._join_nq(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = terms.get(k, 0) + c
-            if c2:
-                terms[k] = c2
-            elif k in terms:
-                del terms[k]
-        return _scalar(terms, nq, max(self.zb, other.zb))
+        return Scalar.sum((self, other))
 
     __radd__ = __add__
 
@@ -258,7 +272,7 @@ class Scalar:
             other = integer(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        nq = self._join_nq(other)
+        nq = _join_nq(self.nq, other.nq)
         zb = _product_bound(self, other)
         out = {}
         get = out.get
@@ -465,8 +479,13 @@ def gauss_eval(a, b, nq):
 
     b <= -2 gives 0; b >= 0 gives (1 - v) when a is divisible by the
     modulus and 0 otherwise; b == -1 gives the formal one-argument symbol
-    (with g(0) rewritten to -v).
+    (with g(0) rewritten to -v).  A missing modulus or an index that is
+    not an int (bool refused) raises ValueError, whatever b is.
     """
+    if nq is None:
+        raise ValueError("gauss symbols need a modulus")
+    if type(a) is not int:
+        raise ValueError("gauss index must be an int: %r" % (a,))
     if b <= -2:
         return zero(nq)
     if b >= 0:

@@ -111,7 +111,8 @@ class TupleKeyScalar:
     """A ground-ring element keyed (vq, zex, gex) with zex a sorted tuple
     of (index, exponent) pairs: the product, display and serialization
     that scalar.Scalar had before its z exponents were packed into one
-    int, kept unchanged as the reference for the packed ring.  The Gauss
+    int, kept unchanged as the reference for the packed ring, with the
+    sum as a plain two-operand merge of the term dicts.  The Gauss
     rewrite is passed in: gauss_normalize_by_rules, which the tests check
     against raw periodicity and against the package's gauss_normalize."""
 
@@ -126,6 +127,16 @@ class TupleKeyScalar:
         if other.nq is None or other.nq == self.nq:
             return self.nq
         raise ValueError("gauss modulus mismatch: %r vs %r" % (self.nq, other.nq))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            c2 = out.get(key, 0) + c
+            if c2:
+                out[key] = c2
+            else:
+                del out[key]
+        return TupleKeyScalar(out, self._join_nq(other), self.gauss_normalize)
 
     def __mul__(self, other):
         gauss_normalize = self.gauss_normalize
@@ -236,7 +247,7 @@ def z_split(x, S):
     for (vq, z, gex), c in x.terms.items():
         groups.setdefault(z, {})[(vq, 0, gex)] = c
     for zex, z in sorted((S._z_pairs(z), z) for z in groups):
-        yield zex, S._scalar(groups[z], x.nq, 0)
+        yield zex, S._scalar(groups[z], x.nq, x.zb)
 
 
 def has_gauss(x):

@@ -282,6 +282,12 @@ def test_coset_piece_rejects_unbalanced_monomials():
         C.coset_piece(S.z_pow(1, 1, 2), (0, 0, 0), REF_LAM, cosets)
     with pytest.raises(ValueError):
         C.coset_piece(S.one(2), (0, 0), REF_LAM, cosets)
+    # a non-int gamma entry is refused, not matched to no class
+    full = C.i_lambda(REF_LAM, 3, 2)
+    for bad in ((1.5, 0, 0), (True, 3, 1), (4, 3, 1.0)):
+        with pytest.raises(ValueError, match="gamma entries must be ints"):
+            C.coset_piece(full, bad, REF_LAM, cosets)
+    assert C.coset_piece(full, (4, 3, 1), REF_LAM, cosets)
 
 
 # -- triangular arrays -------------------------------------------------------

@@ -452,6 +452,44 @@ def test_class_map_is_built_once_and_copied(monkeypatch):
     assert again == same_shape == oracles.partition_classes(sys_, L, S)
 
 
+def test_transfer_sums_each_entry_once(monkeypatch):
+    # one _classes build makes one Scalar.sum per (row, tag) entry of its
+    # layers and no chained addition; the entries are counted here from
+    # the row completions and their nonzero weights
+    sys_ = L.boundary_from_partition((2, 1, 0), 3, 5, 2)
+    top, r, nq = sys_.top, sys_.r, sys_.nq
+    entries, layer = 0, {top: {()}}
+    for row in range(r, 0, -1):
+        nxt = {}
+        for north, tags in layer.items():
+            for south, hrow in L._row_completions(north, nq):
+                if L._row_weight(north, south, hrow, row, nq):
+                    charge = (L.reduce_charge(hrow.count(1), nq),)
+                    nxt.setdefault(south, set()).update(charge + t for t in tags)
+        entries += sum(map(len, nxt.values()))
+        layer = nxt
+    calls = {"sum": 0, "add": 0}
+    real_sum, real_add = S.Scalar.sum, S.Scalar.__add__
+
+    def spy_sum(xs, nq=None):
+        calls["sum"] += 1
+        return real_sum(xs, nq)
+
+    def spy_add(self, other):
+        calls["add"] += 1
+        return real_add(self, other)
+
+    monkeypatch.setattr(S.Scalar, "sum", staticmethod(spy_sum))
+    monkeypatch.setattr(S.Scalar, "__add__", spy_add)
+    monkeypatch.setattr(S.Scalar, "__radd__", spy_add)
+    L._classes.cache_clear()
+    got = dict(L._classes(top, r, nq))
+    monkeypatch.undo()
+    L._classes.cache_clear()
+    assert entries > r and calls == {"sum": entries, "add": 0}
+    assert got == oracles.partition_classes(sys_, L, S)
+
+
 def test_class_map_memo_stays_within_its_bound():
     L._classes.cache_clear()
     shapes = [(k, 0) for k in range(2 * L.CLASS_MEMO_MAX)]

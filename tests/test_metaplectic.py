@@ -42,6 +42,13 @@ def test_params_validation():
         MP.CoverParams(3, 1, 1, 0)
     p = MP.CoverParams(3, 7, 11, 2)
     assert (p.b, p.c) == (1, 5)
+    # every parameter must be an int, bool refused, the message naming it
+    for k, name in enumerate("nbcr"):
+        for bad in (True, 2.5, 2.0, "2", None):
+            args = [3, 1, 1, 2]
+            args[k] = bad
+            with pytest.raises(ValueError, match="cover parameter %s must be an int" % name):
+                MP.CoverParams(*args)
 
 
 def test_bilinear_matrix_shape():
@@ -370,6 +377,9 @@ def test_theorem12_validation():
         MP.theorem12_diagram(p, (1, 2), i=2)
     with pytest.raises(ValueError):
         MP.theorem12_diagram(MP.CoverParams(2, 1, 1, 1), (1,))
+    for bad in ((1.0, 2), (True, 2), (1, 2.5), (1, "2")):
+        with pytest.raises(ValueError, match="residues must be ints"):
+            MP.theorem12_diagram(p, bad)
 
 
 def test_tau_involution():

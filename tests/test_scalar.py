@@ -72,6 +72,24 @@ def test_no_module_decodes_terms_to_encode_them_again():
     assert not round_trips, round_trips
 
 
+def test_no_module_sums_from_a_zero_start():
+    # the builtin sum over Scalars from an S.zero(...) start copies the
+    # partial sum at every step; Scalar.sum merges each operand once
+    copying = []
+    for path in sorted(Path(S.__file__).parent.glob("*.py")):
+        if path.name == "scalar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum"):
+                continue
+            starts = node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]
+            if any(isinstance(x, ast.Call) and getattr(x.func, "attr", None) == "zero"
+                   for x in starts):
+                copying.append((path.name, node.lineno))
+    assert not copying, copying
+
+
 # -- frozen normalization cases ------------------------------------------
 
 def test_pair_relation_absorbs_to_v():
@@ -135,6 +153,16 @@ def test_gauss_eval_cases():
     assert gauss_eval(2, -7, 3).is_zero()
     assert gauss_eval(5, -1, 3) == S.gauss(2, 3)
     assert gauss_eval(3, -1, 3) == -S.v_pow(1, 3)
+    # a missing modulus or a non-int index is refused on every branch,
+    # with the encoder's messages
+    for b in (-7, -2, -1, 0, 5):
+        with pytest.raises(ValueError, match="gauss symbols need a modulus"):
+            gauss_eval(1, b, None)
+        for bad in (1.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="gauss index must be an int"):
+                gauss_eval(bad, b, 3)
+    with pytest.raises(ValueError, match="gauss index must be an int"):
+        S.gauss_pow(1.5, 1, 3)
 
 
 # -- normalizer agrees with the raw-periodicity oracle ---------------------
@@ -659,6 +687,9 @@ def test_z_split_groups_by_monomial():
     groups = dict(z_split(x, S))
     assert set(groups) == {((1, 2),), ((2, 1),)}
     assert groups[((1, 2),)] == S.one() + S.v_pow(1)
+    # each piece keeps its Gauss part, so it keeps the parent's bound
+    y = S.gauss_pow(1, S.Z_LIMIT // 2 - 1, 3) * (S.one(3) + S.z_pow(1, 1, 3))
+    assert [sub.zb for _, sub in z_split(y, S)] == [y.zb] * 2 and y.zb >= S.Z_LIMIT - 2
 
 
 def test_split_matches_the_filter_oracle():
@@ -684,6 +715,55 @@ def test_split_matches_the_filter_oracle():
             total = total + piece
         assert total == x
     assert S.zero(3).split(len) == {}
+
+
+def test_sum_is_chained_addition_in_one_merge():
+    # Scalar.sum is the ring's one addition: term by term and in key
+    # order it gives chained + and the tuple-key ring's merge, joins the
+    # moduli (None joins any) and keeps the largest bound
+    rng = random.Random(20261026)
+    seen = set()
+    for trial in range(400):
+        nq = trial % 6 + 1
+        parts = []
+        for _ in range(rng.randrange(0, 6)):
+            free = rng.random() < 0.3
+            parts.append((_random_sparse(rng, 1 if free else nq), None if free else nq))
+        if parts and rng.random() < 0.3:
+            # an operand that cancels the first
+            parts.append(([(key, -c) for key, c in parts[0][0]], parts[0][1]))
+        start = rng.choice((None, nq))
+        xs = [Scalar.from_sparse(items, m) for items, m in parts]
+        total = Scalar.sum(iter(xs), start)
+        want_nq = nq if start or any(m for _, m in parts) else None
+        assert total.nq == want_nq and total.zb == max((x.zb for x in xs), default=0)
+        oracle = TupleKeyScalar({}, start, gauss_normalize_by_rules)
+        for items, m in parts:
+            oracle = oracle + _tuple_key(items, m)
+        assert list(total.sparse_terms()) == list(oracle.terms.items())
+        if xs:
+            chain = xs[0]
+            for x in xs[1:]:
+                chain = chain + x
+            assert list(total.terms.items()) == list(chain.terms.items())
+        seen.add((len(xs), total.is_zero()))
+    assert {(0, True), (1, False), (2, True), (5, False)} <= seen
+    x = S.z_pow(1, 3, 2) * S.gauss(1, 2) - S.v_pow(1, 2)
+    assert Scalar.sum([]).is_zero() and Scalar.sum([]).nq is None
+    assert Scalar.sum((), 3).nq == 3 and Scalar.sum((), 3).zb == 0
+    # one operand shares its terms, no copy
+    assert Scalar.sum([x]).terms is x.terms and Scalar.sum([x], 2).nq == 2
+    assert Scalar.sum([S.v_pow(1)], 5).nq == 5
+    assert Scalar.sum([x, -x, x, -x]).is_zero() and Scalar.sum([x, -x]).zb == x.zb
+    wide = S.z_pow(1, S.Z_LIMIT - 1)
+    assert Scalar.sum([S.one(), wide, S.one()]).zb == S.Z_LIMIT - 1
+    with pytest.raises(ValueError) as plus:
+        S.gauss(1, 2) + S.gauss(1, 3)
+    for operands, start in (([S.gauss(1, 2), S.one(), S.gauss(1, 3)], None),
+                            ([S.one(), S.gauss(1, 3)], 2), ([S.gauss(1, 3)], 2)):
+        with pytest.raises(ValueError) as summed:
+            Scalar.sum(operands, start)
+        assert str(summed.value) == str(plus.value) == "gauss modulus mismatch: 2 vs 3"
 
 
 def test_modulus_mismatch_rejected():
