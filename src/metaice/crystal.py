@@ -355,18 +355,23 @@ def _z_vector(zex, r):
 
 def _class_pieces(I, lam, basis):
     """I split by coset class in one pass over its packed terms: {canonical
-    class: nonzero piece}, a term with z exponent vec going to the class
-    MP.reduce(basis, vec + w0(lam)) of the coset lattice basis, one reduce
-    per distinct z part.  lam must be checked already; exponents must sum
-    to zero (trace-free support)."""
+    class: (vec, nonzero piece)}, a term with z exponent vec going to the
+    class MP.reduce(basis, vec + w0(lam)), one reduce per distinct z part.
+    vec is the class's first exponent; the others agree with it mod I.nq,
+    as a trace-free coset-lattice vector x has Bx = b x, so x = 0 mod nq.
+    lam must be checked already; exponents must sum to zero (trace-free)."""
+    first = {}
 
     def label(zex):
         vec = _z_vector(zex, len(basis))
         if sum(vec) != 0:
             raise ValueError("monomial exponent %r has nonzero sum" % (vec,))
-        return MP.reduce(basis, map(add, vec, reversed(lam)))
+        gamma = MP.reduce(basis, map(add, vec, reversed(lam)))
+        if any((x - y) % I.nq for x, y in zip(vec, first.setdefault(gamma, vec))):
+            raise AssertionError("coset piece mixes charge classes")
+        return gamma
 
-    return I.split(label)
+    return {gamma: (tuple(first[gamma]), piece) for gamma, piece in I.split(label).items()}
 
 
 # bound of the class-piece memo below: a grid benchmark pass meets 3
@@ -379,14 +384,15 @@ PIECES_MEMO_MAX = 4
 def _cover_pieces(lam, nq, basis):
     """_class_pieces of I_lambda at modulus nq for a coset basis given as
     a tuple of row tuples: covers with equal n_Q and an equal coset
-    lattice have equal pieces.  lam must be checked already; the pieces
-    are shared: read only."""
+    lattice have equal pieces.  lam must be checked already; the
+    (vec, piece) pairs are shared: read only."""
     return _class_pieces(_i_lambda(lam, len(lam), nq), lam, basis)
 
 
 def coset_piece(I, gamma, lam, cosets):
     """Sub-sum of I over monomials with z exponent in gamma - w0(lam) +
-    the coset lattice: the _class_pieces entry at the class of gamma."""
+    the coset lattice: the _class_pieces piece at the class of gamma.
+    I must be at the cover's modulus n_Q."""
     r = cosets.params.r
     lam = _check_partition(lam, r)
     gamma = tuple(gamma)
@@ -394,7 +400,11 @@ def coset_piece(I, gamma, lam, cosets):
         raise ValueError("gamma must have %d entries" % r)
     if not all(type(g) is int for g in gamma):
         raise ValueError("gamma entries must be ints (bool is refused)")
-    return _class_pieces(I, lam, cosets.basis).get(cosets.reduce(gamma), S.zero(I.nq))
+    if I.nq != cosets.params.nq:
+        raise ValueError("I has modulus %r, not the cover's n_Q = %d"
+                         % (I.nq, cosets.params.nq))
+    pieces = _class_pieces(I, lam, cosets.basis)
+    return pieces.get(cosets.reduce(gamma), (None, S.zero(I.nq)))[1]
 
 
 def node_to_gt(node, lam):
@@ -525,12 +535,10 @@ def verify_thm82(lam, r, N, params):
     """Charge-class partition functions against normalized class pieces.
 
     For each coset class with a nonzero piece, the charge vector is read
-    off a support exponent: all exponents of one piece share a residue
-    class mod nq because trace-free coset-lattice vectors have every
-    entry divisible by nq.  The grid partition function at that charge
-    vector must equal z^{-N + w0(rho) + c} z^{w0(lam)} times the piece,
-    and the support exponent plus w0(lam) must reduce to the class the
-    piece is reported under.
+    off the exponent base that _class_pieces pairs with it.  The grid
+    partition function at that charge vector must equal
+    z^{-N + w0(rho) + c} z^{w0(lam)} times the piece, and base + w0(lam)
+    must reduce to the class the piece is reported under.
     """
     lam = _check_partition(lam, r)
     if params.r != r:
@@ -543,12 +551,7 @@ def verify_thm82(lam, r, N, params):
     pieces = _cover_pieces(lam, nq, tuple(map(tuple, cosets.basis)))
     checks = []
     # classes in the order of cosets.gamma, which product lists sorted
-    for gamma, piece in sorted(pieces.items()):
-        support = sorted(piece.split(lambda zex: tuple(_z_vector(zex, r))))
-        base = support[0]
-        for vec in support:
-            if any((vec[t] - base[t]) % nq for t in range(r)):
-                raise AssertionError("coset piece mixes charge classes")
+    for gamma, (base, piece) in sorted(pieces.items()):
         aligned = [base[t] + w0lam[t] for t in range(r)]
         c = tuple(L.reduce_charge(N - aligned[t] - w0rho[t], nq) for t in range(r))
         lhs = L.partition_function(system, c)

@@ -90,6 +90,8 @@ class System:
         r = len(lam)
         if N is None:
             N = (lam[0] if lam else 0) + r
+        if type(N) is not int:
+            raise ValueError("grid width N must be an int (bool is refused): %r" % (N,))
         if N < (lam[0] if lam else 0) + r:
             raise ValueError("need N >= lambda_1 + r, got N=%d" % N)
         check_modulus(nq)

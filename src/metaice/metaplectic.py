@@ -245,10 +245,15 @@ def tau(mu, i, params):
     Z = (z_i/z_{i+1})^n_Q (rvertex.crossing_z).
     """
     r = params.r
+    if type(i) is not int:
+        raise ValueError("simple index i must be an int (bool is refused): %r" % (i,))
     if not 1 <= i < r:
         raise ValueError("simple index out of range")
     if len(mu) != r:
         raise ValueError("coweight length must match the rank")
+    for m in mu:
+        if type(m) is not int:
+            raise ValueError("coweight entries must be ints (bool is refused): %r" % (m,))
     d = mu[i - 1] - mu[i]
     nq = params.nq
     tau1, tau2 = _tau_fracs(d % nq, i, nq)
@@ -315,6 +320,8 @@ def theorem12_diagram(params, residues, i=1):
         raise ValueError("rank must be at least 2")
     if len(residues) != r:
         raise ValueError("label length must match the rank")
+    if type(i) is not int:
+        raise ValueError("simple index i must be an int (bool is refused): %r" % (i,))
     if not 1 <= i < r:
         raise ValueError("simple index out of range")
     n = params.n

@@ -14,6 +14,7 @@ reproduces the ice crossing table at z = (z_i/z_j)^nq entry by entry.
 
 from fractions import Fraction
 
+from . import lattice as L
 from . import scalar as S
 from . import rvertex as RV
 # the pair-basis matrix algebra lives in rvertex; these names stay public here
@@ -154,6 +155,7 @@ def signature_adjust(r_mat):
 def compare_to_ice_r(nq, rows=(1, 2)):
     """Twist, sign-adjust, substitute z = Z (rvertex.crossing_z), and
     compare entrywise with the ice crossing table."""
+    L.check_modulus(nq)
     big_z = RV.crossing_z(rows, nq)
     twisted = drinfeld_twist(kojima_r(big_z, nq), twist_f(nq))
     for entry in twisted.values():

@@ -19,7 +19,7 @@ import math
 import random
 
 from . import scalar as S
-from .lattice import partition_function, reduce_charge, vertex_weight
+from .lattice import check_modulus, partition_function, reduce_charge, vertex_weight
 
 MINUS = (-1, 0)
 
@@ -225,6 +225,7 @@ def check_rtt(boundary, nq, rows=(1, 2)):
 
 def rtt_scan(nq, rows=(1, 2)):
     """check_rtt over every boundary 6-tuple; returns a summary report."""
+    check_modulus(nq)
     dv = decorated_values(nq)
     failures = []
     boundaries = 0
@@ -396,6 +397,7 @@ def check_crossings(table, rows, nq, graded=False, trials=20, seed=None,
     Random(seed), each table entry evaluated once per point.  Returns
     one (trial, braid keys, inversion keys) per point, the keys naming
     the entries where the two sides differ."""
+    check_modulus(nq)
     i, j = rows[:2]
     pairs = [(i, j)] + ([(i, rows[2]), (j, rows[2])] if len(rows) == 3 else [])
     mats = {pair: table(*pair) for pair in pairs + [(j, i)]}
@@ -500,9 +502,9 @@ def _ice_scan(rows, nq, trials, seed, p):
     entry ((beta, alpha), (dlt, gamma)) is (alpha, beta, gamma, dlt).
     Sorted label tuples list boundaries in product(dv, ...) order."""
     braid = len(rows) == 3
-    dv = decorated_values(nq)
     results = check_crossings(_ice_table(nq), rows, nq, trials=trials,
                               seed=seed, p=p)
+    dv = decorated_values(nq)
     failures = []
     for t, braid_keys, inverse_keys in results:
         found = sorted(row[::-1] + (col if braid else col[::-1])
@@ -903,6 +905,7 @@ def appendix_regression(nq):
     tables must reproduce the frozen numerators over the common
     denominator 1 - v (z_1/z_2)^nq, boundaries not covered by a frozen
     row must produce empty tables, and both side sums must agree."""
+    check_modulus(nq)
     den = r_denominator((1, 2), nq)
     case_reports = []
     mismatches = []

@@ -479,13 +479,15 @@ def gauss_eval(a, b, nq):
 
     b <= -2 gives 0; b >= 0 gives (1 - v) when a is divisible by the
     modulus and 0 otherwise; b == -1 gives the formal one-argument symbol
-    (with g(0) rewritten to -v).  A missing modulus or an index that is
-    not an int (bool refused) raises ValueError, whatever b is.
+    (with g(0) rewritten to -v).  A missing modulus, or an index a or a
+    b that is not an int (bool refused), raises ValueError.
     """
     if nq is None:
         raise ValueError("gauss symbols need a modulus")
     if type(a) is not int:
         raise ValueError("gauss index must be an int: %r" % (a,))
+    if type(b) is not int:
+        raise ValueError("gauss_eval b must be an int: %r" % (b,))
     if b <= -2:
         return zero(nq)
     if b >= 0:

@@ -1,7 +1,9 @@
 """Triangular-array model tests: enumeration, decorations, weights,
 bijections with grid states, class pieces, and charge-class identities."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -270,10 +272,17 @@ def test_class_split_matches_the_per_class_filter():
                     assert set(pieces) <= set(cosets.gamma)
                     for gamma in cosets.gamma:
                         want = oracles.coset_piece_by_filter(full, gamma, lam, cosets, S)
-                        got = pieces.get(gamma, S.zero(full.nq))
+                        vec, got = pieces.get(gamma, (None, S.zero(full.nq)))
                         # the same terms in the same order
                         assert list(got.terms.items()) == list(want.terms.items())
                         assert (gamma in pieces) == bool(want)
+                        if vec is not None:
+                            # the vector lies in its class, and every exponent
+                            # of the piece agrees with it mod n_Q
+                            assert cosets.reduce(map(sum, zip(vec, lam[::-1]))) == gamma
+                            for (_, zex, _), _ in got.sparse_terms():
+                                ex = C._z_vector(zex, r)
+                                assert not any((x - y) % full.nq for x, y in zip(ex, vec))
 
 
 def test_coset_piece_rejects_unbalanced_monomials():
@@ -288,6 +297,19 @@ def test_coset_piece_rejects_unbalanced_monomials():
         with pytest.raises(ValueError, match="gamma entries must be ints"):
             C.coset_piece(full, bad, REF_LAM, cosets)
     assert C.coset_piece(full, (4, 3, 1), REF_LAM, cosets)
+    # I must be at the cover's n_Q: the n_Q = 2 sum under an n_Q = 3 cover
+    # would file terms under wrong classes, and others give silent zeros
+    lam, cover3 = (2, 1, 0), MP.lattice_and_cosets(MP.CoverParams(3, 1, 1, 3))
+    for foreign in (C.i_lambda(lam, 3, 2), C.i_lambda(lam, 3, 1),
+                    S.z_mono([1, -1, 0], None), S.one(None)):
+        for gamma in cover3.gamma:
+            with pytest.raises(ValueError, match="not the cover's n_Q = 3"):
+                C.coset_piece(foreign, gamma, lam, cover3)
+    full3 = C.i_lambda(lam, 3, 3)
+    assert not C.coset_piece(full3, (2, 1, 0), lam, cover3)
+    for gamma in cover3.gamma:
+        want = oracles.coset_piece_by_filter(full3, gamma, lam, cover3, S)
+        assert C.coset_piece(full3, gamma, lam, cover3) == want
 
 
 # -- triangular arrays -------------------------------------------------------
@@ -855,15 +877,60 @@ def test_cover_sweep_splits_once_per_cover_class(monkeypatch):
         splits.append((shape, I.nq, basis))
         return split(I, shape, basis)
 
+    scalar_splits = []
+    scalar_split = S.Scalar.split
+
+    def split_spy(self, label):
+        scalar_splits.append(self.nq)
+        return scalar_split(self, label)
+
     monkeypatch.setattr(C, "_class_pieces", spy)
+    monkeypatch.setattr(S.Scalar, "split", split_spy)
     _clear_grid_memos()
     reports = [C.verify_thm82(lam, r, N, params) for params in covers]
     assert all(report["ok"] for report in reports)
+    assert sum(len(report["checks"]) for report in reports) == 88
     assert sorted(splits) == sorted((lam,) + key for key in classes)
+    # the split that builds the pieces is the only one: no piece is
+    # split again for its exponent vector
+    assert len(scalar_splits) == len(classes) == 6
     # every report equals a run with the memos cleared
     for params, report in zip(covers, reports):
         _clear_grid_memos()
         assert C.verify_thm82(lam, r, N, params) == report, params
+
+
+def test_a_split_that_mixes_charge_classes_fails_loudly(monkeypatch):
+    # a reduce that merges two coset classes puts exponents of different
+    # residues mod n_Q into one piece; the split refuses it
+    lam, params = (2, 1, 0), MP.CoverParams(3, 1, 1, 3)   # six nonzero classes
+    cosets = MP.lattice_and_cosets(params)
+    full = C.i_lambda(lam, 3, params.nq)
+    first, second = sorted(C._class_pieces(full, lam, cosets.basis))[:2]
+    assert C.verify_thm82(lam, 3, 5, params)["ok"]
+    reduce = MP.reduce
+
+    def merged(basis, x):
+        gamma = reduce(basis, x)
+        return first if gamma == second else gamma
+
+    monkeypatch.setattr(MP, "reduce", merged)
+    _clear_grid_memos()
+    with pytest.raises(AssertionError, match="coset piece mixes charge classes"):
+        C.verify_thm82(lam, 3, 5, params)
+
+
+def test_only_the_class_split_splits_in_the_crystal_module():
+    # every coset piece and its exponent vector come from the one split
+    # in _class_pieces; no other crystal.py function calls .split(
+    tree = ast.parse(Path(C.__file__).read_text(), C.__file__)
+    callers = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            callers += [(fn.name, node.lineno) for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "split"]
+    assert callers and {name for name, _ in callers} == {"_class_pieces"}, callers
 
 
 def test_class_piece_memo_stays_within_its_bound():

@@ -69,6 +69,11 @@ def test_boundary_validation():
     for nq in (0, 1.5, True):  # the modulus is a positive int
         with pytest.raises(ValueError):
             L.System((1, 0), 2, 4, nq)
+    for N in (True, 5.0, "5", 4.5):  # so is the width
+        with pytest.raises(ValueError, match="grid width N must be an int"):
+            L.System((0,), None, N, 1)
+        with pytest.raises(ValueError, match="grid width N must be an int"):
+            L.System((1, 0), 2, N, 2)
 
 
 # -- the reference state ----------------------------------------------------

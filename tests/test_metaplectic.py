@@ -251,6 +251,13 @@ def test_tau_validation():
         MP.tau((0, 0, 0), 3, p)
     with pytest.raises(ValueError):
         MP.tau((0, 0), 1, p)
+    p2 = dot_cover(2)
+    for mu in ((1.5, 0), (0, 1.0), (True, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="coweight entries must be ints"):
+            MP.tau(mu, 1, p2)
+    for i in (True, 1.0, 1.5, "1"):
+        with pytest.raises(ValueError, match="simple index i must be an int"):
+            MP.tau((1, 0), i, p2)
 
 
 def test_tau_json_shape():
@@ -380,6 +387,9 @@ def test_theorem12_validation():
     for bad in ((1.0, 2), (True, 2), (1, 2.5), (1, "2")):
         with pytest.raises(ValueError, match="residues must be ints"):
             MP.theorem12_diagram(p, bad)
+    for i in (1.0, True, 1.5, "1"):
+        with pytest.raises(ValueError, match="simple index i must be an int"):
+            MP.theorem12_diagram(p, (1, 2), i=i)
 
 
 def test_tau_involution():

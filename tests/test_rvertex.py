@@ -11,6 +11,7 @@ import oracles
 from metaice import scalar as S
 from metaice import lattice as L
 from metaice import rvertex as R
+from metaice import qgroup as Q
 from metaice import cli
 
 
@@ -583,6 +584,26 @@ def test_exact_and_seeded_scans_agree(nq, monkeypatch):
         assert exact["failures"] and not exact["ok"]
         assert sampled["failures"] == [(t, bnd) for t in range(2)
                                        for bnd in exact["failures"]]
+
+
+VERDICTS = {
+    "rrr_scan": R.rrr_scan,
+    "unitarity_scan": R.unitarity_scan,
+    "rtt_scan": R.rtt_scan,
+    "appendix_regression": R.appendix_regression,
+    "check_scattering_involution": lambda nq: R.check_scattering_involution(1, nq),
+    "check_graded_ybe": Q.check_graded_ybe,
+    "compare_to_ice_r": Q.compare_to_ice_r,
+}
+
+
+@pytest.mark.parametrize("nq", [0, -1, True, 1.5])
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_verdicts_refuse_a_modulus_below_one(name, nq):
+    # a modulus is a positive int (bool refused); 0 and -1 would otherwise
+    # pass trivially or fail with an unrelated error, and True run as 1
+    with pytest.raises(ValueError, match="modulus must be a positive integer"):
+        VERDICTS[name](nq)
 
 
 def test_scattering_involution():

@@ -163,6 +163,12 @@ def test_gauss_eval_cases():
                 gauss_eval(bad, b, 3)
     with pytest.raises(ValueError, match="gauss index must be an int"):
         S.gauss_pow(1.5, 1, 3)
+    # so is a non-int b, which the branches would read as -1 (for -1.5
+    # and -1.0) or 0 (for 0.5)
+    for bad in (-1.5, -1.0, 0.5, True, False, "0", None):
+        for a in (0, 1, 3):
+            with pytest.raises(ValueError, match="gauss_eval b must be an int"):
+                gauss_eval(a, bad, 3)
 
 
 # -- normalizer agrees with the raw-periodicity oracle ---------------------
