@@ -250,9 +250,8 @@ def _whittaker(args):
     params = cover(args)
     nq = params.nq
     lam = args.lam
-    r = len(lam)
     cosets = MP.lattice_and_cosets(params)
-    piece = C.coset_piece(C.i_lambda(lam, r, nq), args.gamma, lam, cosets)
+    piece = C.coset_piece(args.gamma, lam, cosets)
     value = S.z_mono(tuple(reversed(lam)), nq) * piece
     took = _elapsed(start)
     base = dict(params.to_json(), **{"lambda": list(lam),

@@ -389,22 +389,19 @@ def _cover_pieces(lam, nq, basis):
     return _class_pieces(_i_lambda(lam, len(lam), nq), lam, basis)
 
 
-def coset_piece(I, gamma, lam, cosets):
-    """Sub-sum of I over monomials with z exponent in gamma - w0(lam) +
-    the coset lattice: the _class_pieces piece at the class of gamma.
-    I must be at the cover's modulus n_Q."""
-    r = cosets.params.r
+def coset_piece(gamma, lam, cosets):
+    """Sub-sum of I_lambda at the cover's n_Q over monomials with z
+    exponent in gamma - w0(lam) + the coset lattice: one class of the
+    memoised split _cover_pieces, shared (read only)."""
+    r, nq = cosets.params.r, cosets.params.nq
     lam = _check_partition(lam, r)
     gamma = tuple(gamma)
     if len(gamma) != r:
         raise ValueError("gamma must have %d entries" % r)
     if not all(type(g) is int for g in gamma):
         raise ValueError("gamma entries must be ints (bool is refused)")
-    if I.nq != cosets.params.nq:
-        raise ValueError("I has modulus %r, not the cover's n_Q = %d"
-                         % (I.nq, cosets.params.nq))
-    pieces = _class_pieces(I, lam, cosets.basis)
-    return pieces.get(cosets.reduce(gamma), (None, S.zero(I.nq)))[1]
+    pieces = _cover_pieces(lam, nq, tuple(map(tuple, cosets.basis)))
+    return pieces.get(cosets.reduce(gamma), (None, S.zero(nq)))[1]
 
 
 def node_to_gt(node, lam):

@@ -181,13 +181,13 @@ def check_rtt(boundary, nq, rows=(1, 2)):
     side the crossing comes first (NW = tau, SW = sigma) and its SE leg
     feeds the row-i vertex; on the right side the rows come first and the
     crossing receives NE = theta, SE = rho.  Returns the per-state weight
-    tables keyed by internal edges, each entry over the common
-    denominator 1 - v (z_i/z_j)^nq, and the two side sums.  Only the
-    nonzero crossings of crossing_table(rows, nq) are visited."""
+    tables keyed by internal edges and the two side sums, as numerators
+    over the record's one den = 1 - v (z_i/z_j)^nq.  Only the nonzero
+    crossings of crossing_table(rows, nq) are visited."""
+    check_modulus(nq)
     sigma, tau, beta, theta, rho, alpha = boundary
     i, j = rows
     table = crossing_table(rows, nq)
-    den = table.den
     row_i, row_j = table.vertex[i], table.vertex[j]
     lhs = {}
     for nu, mu, num in table.by_in.get((tau, sigma), ()):
@@ -198,7 +198,7 @@ def check_rtt(boundary, nq, rows=(1, 2)):
             wi = row_i.get((gam, alpha, mu, rho))
             if wi is None:
                 continue
-            lhs[(nu, mu, gam)] = S.Frac(num * (wj * wi), den)
+            lhs[(nu, mu, gam)] = num * (wj * wi)
     rhs = {}
     for phi, psi, num in table.by_out.get((theta, rho), ()):
         for dlt in (1, -1):
@@ -208,18 +208,19 @@ def check_rtt(boundary, nq, rows=(1, 2)):
             wj = row_j.get((dlt, alpha, sigma, psi))
             if wj is None:
                 continue
-            rhs[(phi, psi, dlt)] = S.Frac(num * (wj * wi), den)
-    lhs_sum = S.Frac(S.Scalar.sum((w.num for w in lhs.values()), nq), den)
-    rhs_sum = S.Frac(S.Scalar.sum((w.num for w in rhs.values()), nq), den)
+            rhs[(phi, psi, dlt)] = num * (wj * wi)
+    lhs_sum = S.Scalar.sum(lhs.values(), nq)
+    rhs_sum = S.Scalar.sum(rhs.values(), nq)
     return {
         "boundary": boundary,
         "rows": rows,
         "nq": nq,
+        "den": table.den,
         "lhs": lhs,
         "rhs": rhs,
         "lhs_sum": lhs_sum,
         "rhs_sum": rhs_sum,
-        "equal": S.frac_eq(lhs_sum, rhs_sum),
+        "equal": lhs_sum == rhs_sum,
     }
 
 
@@ -394,10 +395,15 @@ def check_crossings(table, rows, nq, graded=False, trials=20, seed=None,
     (i, j, k), R12 tau R21 tau is compared with the identity, tau the
     (graded) swap.  Exact when seed is None, at every nq; given a seed
     (0 included), at `trials` points mod the prime p drawn from
-    Random(seed), each table entry evaluated once per point.  Returns
+    Random(seed), each table entry evaluated once per point, and a
+    ValueError unless trials is an int >= 1 and p an int prime.  Returns
     one (trial, braid keys, inversion keys) per point, the keys naming
     the entries where the two sides differ."""
     check_modulus(nq)
+    if seed is not None and not (type(trials) is int and trials >= 1
+                                 and type(p) is int and S.is_prime(p)):
+        raise ValueError("a seeded check needs an int trials >= 1 and an int"
+                         " prime p, not trials=%r, p=%r" % (trials, p))
     i, j = rows[:2]
     pairs = [(i, j)] + ([(i, rows[2]), (j, rows[2])] if len(rows) == 3 else [])
     mats = {pair: table(*pair) for pair in pairs + [(j, i)]}
@@ -435,9 +441,13 @@ def _ice_table(nq):
 
 
 def _labels_of(boundary, nq):
-    """Basis labels of decorated spins; None for a malformed one."""
+    """Basis labels of decorated spins; ValueError for a leg that is not
+    one of decorated_values(nq)."""
     index = {spin: a for a, spin in enumerate(decorated_values(nq))}
-    return [index.get(spin) for spin in boundary]
+    if not all(spin in index for spin in boundary):
+        raise ValueError("boundary %r has a leg outside decorated_values(%d)"
+                         % (boundary, nq))
+    return [index[spin] for spin in boundary]
 
 
 def check_rrr(boundary, rows, nq):
@@ -447,11 +457,12 @@ def check_rrr(boundary, rows, nq):
     top, then right legs bottom to top.  Both orders of resolving the
     three crossings must give the same sum: entry ((gamma, beta, alpha),
     (phi, eps, dlt)) of R23 R13 R12 and of R12 R13 R23."""
+    check_modulus(nq)
+    alpha, beta, gamma, phi, eps, dlt = _labels_of(boundary, nq)
     i, j, k = rows
     forward, backward = braid_sides(ice_r_matrix(nq, (i, j)),
                                     ice_r_matrix(nq, (i, k)),
                                     ice_r_matrix(nq, (j, k)), nq)
-    alpha, beta, gamma, phi, eps, dlt = _labels_of(boundary, nq)
     key = ((gamma, beta, alpha), (phi, eps, dlt))
     zero = S.Frac(S.zero(nq))
     lhs, rhs = backward.get(key, zero), forward.get(key, zero)
@@ -465,10 +476,11 @@ def check_unitarity(alpha, beta, gamma, dlt, rows, nq):
     sum_{x,y} W_ij(beta, alpha -> x, y) W_ji(x, y -> dlt, gamma), the
     entry ((beta, alpha), (dlt, gamma)) of R12 tau R21 tau, equals
     [alpha = gamma][beta = dlt]."""
+    check_modulus(nq)
+    a, b, c, d = _labels_of((alpha, beta, gamma, dlt), nq)
     i, j = rows
     prod = inversion_product(ice_r_matrix(nq, (i, j)),
                              ice_r_matrix(nq, (j, i)), _swap(nq, False))
-    a, b, c, d = _labels_of((alpha, beta, gamma, dlt), nq)
     total = prod.get(((b, a), (d, c)), S.Frac(S.zero(nq)))
     expected = 1 if (alpha == gamma and beta == dlt) else 0
     return {"boundary": (alpha, beta, gamma, dlt), "rows": rows, "nq": nq,
@@ -901,12 +913,11 @@ def _decorate(spin, charge):
 def appendix_regression(nq):
     """Exchange-identity regression over all 32 boundary spin patterns.
 
-    For every charge instantiation of every pattern the per-state weight
-    tables must reproduce the frozen numerators over the common
-    denominator 1 - v (z_1/z_2)^nq, boundaries not covered by a frozen
-    row must produce empty tables, and both side sums must agree."""
+    For every charge instantiation of every pattern check_rtt's state
+    numerators, over its one den 1 - v (z_1/z_2)^nq, must equal the
+    frozen ones, boundaries not covered by a frozen row must produce
+    empty tables, and both side sums must agree."""
     check_modulus(nq)
-    den = r_denominator((1, 2), nq)
     case_reports = []
     mismatches = []
     total_instances = 0
@@ -938,10 +949,10 @@ def appendix_regression(nq):
                     mismatches.append((label, (a, b, c, d), side, "keys",
                                        sorted(got), sorted(want)))
                     continue
-                for key, frac in got.items():
-                    if not (frac.den == den and frac.num == want[key]):
+                for key, num in got.items():
+                    if num != want[key]:
                         mismatches.append((label, (a, b, c, d), side, key,
-                                           frac, want[key]))
+                                           num, want[key]))
             if not res["equal"]:
                 mismatches.append((label, (a, b, c, d), "sums",
                                    res["lhs_sum"], res["rhs_sum"]))
@@ -972,6 +983,8 @@ def train_functional_equation(lam, c, i, system):
     nq = system.nq
     if tuple(lam) != system.lam:
         raise ValueError("partition %r does not match the system" % (lam,))
+    if type(i) is not int:
+        raise ValueError("reflection index i must be an int (bool is refused): %r" % (i,))
     if not 1 <= i <= system.r - 1:
         raise ValueError("reflection index out of range: %d" % i)
     c = tuple(reduce_charge(x, nq) for x in c)

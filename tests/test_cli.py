@@ -59,8 +59,7 @@ def test_whittaker_reference_class(capsys):
     assert code == 0
     piece_case, value_case = json.loads(out)
     cosets = MP.lattice_and_cosets(MP.CoverParams(2, 1, 1, 3))
-    piece = C.coset_piece(C.i_lambda((2, 2, 0), 3, 2), (4, 3, 1),
-                          (2, 2, 0), cosets)
+    piece = C.coset_piece((4, 3, 1), (2, 2, 0), cosets)
     assert piece_case["lhs"] == piece.to_json()
     assert value_case["lhs"] == (S.z_mono((0, 2, 2), 2) * piece).to_json()
 

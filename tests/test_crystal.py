@@ -242,7 +242,7 @@ def test_modulus_must_be_a_positive_int():
 
 def test_reference_coset_piece_carries_the_reference_term():
     cosets = MP.lattice_and_cosets(MP.CoverParams(2, 1, 1, 3))
-    piece = C.coset_piece(C.i_lambda(REF_LAM, 3, 2), (4, 3, 1), REF_LAM, cosets)
+    piece = C.coset_piece((4, 3, 1), REF_LAM, cosets)
     expected = (S.gauss_eval(3, -1, 2) * S.gauss_eval(2, 0, 2)
                 * S.z_mono((2, 1, -3), 2))
     for key, coeff in expected.terms.items():
@@ -256,7 +256,7 @@ def test_class_pieces_recombine_to_the_generating_sum():
         full = C.i_lambda(lam, params.r, params.nq)
         total = S.zero(params.nq)
         for gamma in cosets.gamma:
-            total = total + C.coset_piece(full, gamma, lam, cosets)
+            total = total + C.coset_piece(gamma, lam, cosets)
         assert total == full
 
 
@@ -287,29 +287,47 @@ def test_class_split_matches_the_per_class_filter():
 
 def test_coset_piece_rejects_unbalanced_monomials():
     cosets = MP.lattice_and_cosets(MP.CoverParams(2, 1, 1, 3))
-    with pytest.raises(ValueError):
-        C.coset_piece(S.z_pow(1, 1, 2), (0, 0, 0), REF_LAM, cosets)
-    with pytest.raises(ValueError):
-        C.coset_piece(S.one(2), (0, 0), REF_LAM, cosets)
+    # the class split refuses a monomial whose exponents do not sum to zero
+    with pytest.raises(ValueError, match="nonzero sum"):
+        C._class_pieces(S.z_pow(1, 1, 2), REF_LAM, cosets.basis)
+    with pytest.raises(ValueError, match="gamma must have 3 entries"):
+        C.coset_piece((0, 0), REF_LAM, cosets)
     # a non-int gamma entry is refused, not matched to no class
-    full = C.i_lambda(REF_LAM, 3, 2)
     for bad in ((1.5, 0, 0), (True, 3, 1), (4, 3, 1.0)):
         with pytest.raises(ValueError, match="gamma entries must be ints"):
-            C.coset_piece(full, bad, REF_LAM, cosets)
-    assert C.coset_piece(full, (4, 3, 1), REF_LAM, cosets)
-    # I must be at the cover's n_Q: the n_Q = 2 sum under an n_Q = 3 cover
-    # would file terms under wrong classes, and others give silent zeros
+            C.coset_piece(bad, REF_LAM, cosets)
+    assert C.coset_piece((4, 3, 1), REF_LAM, cosets)
+    # the piece is read from I_lambda at the cover's own n_Q
     lam, cover3 = (2, 1, 0), MP.lattice_and_cosets(MP.CoverParams(3, 1, 1, 3))
-    for foreign in (C.i_lambda(lam, 3, 2), C.i_lambda(lam, 3, 1),
-                    S.z_mono([1, -1, 0], None), S.one(None)):
-        for gamma in cover3.gamma:
-            with pytest.raises(ValueError, match="not the cover's n_Q = 3"):
-                C.coset_piece(foreign, gamma, lam, cover3)
     full3 = C.i_lambda(lam, 3, 3)
-    assert not C.coset_piece(full3, (2, 1, 0), lam, cover3)
+    assert not C.coset_piece((2, 1, 0), lam, cover3)
     for gamma in cover3.gamma:
         want = oracles.coset_piece_by_filter(full3, gamma, lam, cover3, S)
-        assert C.coset_piece(full3, gamma, lam, cover3) == want
+        assert C.coset_piece(gamma, lam, cover3) == want
+
+
+def test_reading_every_class_splits_once(monkeypatch):
+    # coset_piece reads one class of the memoised split: the 8 classes of
+    # the cover take one Scalar.split between them, and sum to I_lambda
+    cosets = MP.lattice_and_cosets(MP.CoverParams(2, 1, 1, 3))
+    lam = (2, 2, 0)
+    assert len(cosets.gamma) == 8
+    full = C.i_lambda(lam, 3, cosets.params.nq)
+    splits = []
+    plain = S.Scalar.split
+
+    def spy(self, label):
+        splits.append(self)
+        return plain(self, label)
+
+    monkeypatch.setattr(S.Scalar, "split", spy)
+    C._cover_pieces.cache_clear()
+    try:
+        pieces = [C.coset_piece(gamma, lam, cosets) for gamma in cosets.gamma]
+    finally:
+        C._cover_pieces.cache_clear()
+    assert len(splits) == 1
+    assert S.Scalar.sum(pieces, full.nq) == full
 
 
 # -- triangular arrays -------------------------------------------------------

@@ -193,9 +193,9 @@ def test_rtt_worked_two_state_boundary():
     res = R.check_rtt(((1, 1), (1, 2), -1, (1, 1), R.MINUS, 1), nq)
     assert res["equal"]
     assert set(res["lhs"]) == {((1, 2), (1, 1), -1)}
-    assert res["lhs"][((1, 2), (1, 1), -1)].num == S.gauss(1, nq) * (one - v) * Z
+    assert res["lhs"][((1, 2), (1, 1), -1)] == S.gauss(1, nq) * (one - v) * Z
     assert set(res["rhs"]) == {((1, 1), R.MINUS, -1)}
-    assert res["rhs"][((1, 1), R.MINUS, -1)].num == S.gauss(1, nq) * (one - v) * Z
+    assert res["rhs"][((1, 1), R.MINUS, -1)] == S.gauss(1, nq) * (one - v) * Z
 
 
 def test_rtt_multi_state_sides_balance():
@@ -206,7 +206,7 @@ def test_rtt_multi_state_sides_balance():
     assert res["equal"]
     assert len(res["lhs"]) == 1 and len(res["rhs"]) == 2
     zj = S.z_pow(2, -nq, nq)
-    assert res["lhs"][((1, 1), (1, 1), -1)].num == -v * zj * (Z - v)
+    assert res["lhs"][((1, 1), (1, 1), -1)] == -v * zj * (Z - v)
 
 
 def test_rtt_spin_conservation_empties_both_sides():
@@ -231,7 +231,8 @@ def _same_frac(x, y):
 @pytest.mark.parametrize("nq", [1, 2, 3, 4])
 def test_rtt_matches_the_dense_oracle(nq):
     # every boundary, malformed legs included: same keys in the same
-    # order, the same numerators and denominators, the same verdict
+    # order, the same numerators over the same denominator, the same
+    # verdict
     legs = R.decorated_values(nq) + [(1, 0), (1, nq + 1), (-1, 1), (-1, 5), (2, 1), (0, 0)]
     rows = [(1, 2)] + ([(2, 1), (3, 5)] if nq == 2 else [])
     for sigma, tau, theta, rho in itertools.product(legs, repeat=4):
@@ -241,10 +242,31 @@ def test_rtt_matches_the_dense_oracle(nq):
             want = oracles.rtt_tables_dense(bnd, nq, r, R, S)
             for side in ("lhs", "rhs"):
                 assert list(got[side]) == list(want[side]), (bnd, side)
-                for key, frac in got[side].items():
-                    assert _same_frac(frac, want[side][key]), (bnd, key)
-                assert _same_frac(got[side + "_sum"], want[side + "_sum"]), bnd
+                for key, num in got[side].items():
+                    assert num == want[side][key].num, (bnd, key)
+                    assert want[side][key].den == got["den"], (bnd, key)
+                assert got[side + "_sum"] == want[side + "_sum"].num, bnd
+                assert want[side + "_sum"].den == got["den"], bnd
             assert got["equal"] == want["equal"], bnd
+
+
+@pytest.mark.parametrize("nq", [2, 3])
+def test_warm_exchange_checks_build_no_frac(nq, monkeypatch):
+    # check_rtt reads the crossing table's numerators over its one
+    # denominator: once the tables are warm, neither the scan nor the
+    # frozen regression wraps a state or a side sum in a Frac
+    assert R.rtt_scan(nq)["ok"] and R.appendix_regression(nq)["ok"]
+    built = []
+    plain = S.Frac.__init__
+
+    def spy(self, num, den=None):
+        built.append(num)
+        plain(self, num, den)
+
+    monkeypatch.setattr(S.Frac, "__init__", spy)
+    assert R.rtt_scan(nq)["ok"]
+    assert R.appendix_regression(nq)["ok"]
+    assert built == []
 
 
 def test_rtt_perturbed_weight_fails_like_the_oracle(monkeypatch):
@@ -337,7 +359,7 @@ def test_appendix_regression_reports_each_mismatch(monkeypatch, capsys):
     assert not rep["ok"]
     (label, charges, side, key, got, want), = rep["mismatches"]
     assert (label, charges, side, key) == ("8", blank, "lhs", (R.MINUS, R.MINUS, 1))
-    assert want == got.num * 2
+    assert want == got * 2
     # a frozen internal edge that no state has: a key-set mismatch
     extra = (R.MINUS, R.MINUS, 0)
 
@@ -594,6 +616,10 @@ VERDICTS = {
     "check_scattering_involution": lambda nq: R.check_scattering_involution(1, nq),
     "check_graded_ybe": Q.check_graded_ybe,
     "compare_to_ice_r": Q.compare_to_ice_r,
+    "check_rtt": lambda nq: R.check_rtt(((1, 1),) * 2 + (1, (1, 1), (1, 1), 1), nq),
+    "check_rrr": lambda nq: R.check_rrr(((1, 1),) * 6, (1, 2, 3), nq),
+    "check_unitarity": lambda nq: R.check_unitarity((1, 1), (1, 1), (1, 1), (1, 1),
+                                                    (1, 2), nq),
 }
 
 
@@ -604,6 +630,32 @@ def test_verdicts_refuse_a_modulus_below_one(name, nq):
     # pass trivially or fail with an unrelated error, and True run as 1
     with pytest.raises(ValueError, match="modulus must be a positive integer"):
         VERDICTS[name](nq)
+
+
+def test_braid_and_inversion_refuse_a_malformed_leg():
+    # a leg outside decorated_values(nq) has no basis label; it is refused,
+    # not read as an entry that both sides lack
+    for leg in ((1, 9), (1, 0), (-1, 1), (2, 1)):
+        with pytest.raises(ValueError, match="outside decorated_values"):
+            R.check_rrr((leg,) + ((1, 1),) * 5, (1, 2, 3), 2)
+        with pytest.raises(ValueError, match="outside decorated_values"):
+            R.check_unitarity(leg, (1, 1), (1, 1), (1, 1), (1, 2), 2)
+
+
+def test_sampled_checks_refuse_empty_or_composite_sampling():
+    # a seeded check at no point checks nothing, and a composite p gives
+    # wrong residues: both are refused before any point is drawn
+    calls = [lambda: R.rrr_scan(2, trials=0, seed=1),
+             lambda: R.rrr_scan(2, trials=-3, seed=1),
+             lambda: R.rrr_scan(2, trials=1.5, seed=1),
+             lambda: R.rrr_scan(2, trials=True, seed=1),
+             lambda: Q.check_graded_ybe(2, trials=0, seed=1),
+             lambda: Q.check_graded_ybe(2, trials=2, seed=1, p=9),
+             lambda: R.unitarity_scan(2, trials=2, seed=1, p=4)]
+    for call in calls:
+        with pytest.raises(ValueError, match="a seeded check needs"):
+            call()
+    assert R.unitarity_scan(2, trials=1, seed=1, p=10007)["ok"]
 
 
 def test_scattering_involution():
@@ -653,6 +705,10 @@ def test_train_equation_validates_inputs():
         R.train_functional_equation((2, 0), (1, 1), 1, sysm)
     with pytest.raises(ValueError):
         R.train_functional_equation((1, 0), (1, 1), 2, sysm)
+    # the index is an int, bool refused, before its range is tested
+    for i in (True, 1.0, 1.5, "1"):
+        with pytest.raises(ValueError, match="reflection index i must be an int"):
+            R.train_functional_equation((1, 0), (1, 1), i, sysm)
     # entries are reduced into (0, nq] first, so only a wrong length is refused
     for c in ((1,), (1, 2, 3)):
         with pytest.raises(ValueError, match="r residues"):
